@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import graphs as gr
 from . import lifting as lf
@@ -30,8 +30,10 @@ EXIT_BUDGET = 3
 
 @dataclass
 class RunConfig:
+    """Run settings a --config file may set; every one is an integer, and
+    every one but seed is a non-negative count."""
+
     n: int = 1
-    trunc_dim: int | None = None
     support_bound: int = 1
     slack: int = 2
     cell_budget: int = 10**7
@@ -68,36 +70,47 @@ def _load(path):
         raise SystemExit(EXIT_INPUT)
 
 
-def _load_graph(path):
+def _load_as(parse, label, path):
+    """parse(JSON of path); a malformed document exits with EXIT_INPUT."""
     try:
-        return gr.Graph.from_json(_load(path))
+        return parse(_load(path))
     except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad graph file {path}: {exc}", file=sys.stderr)
+        print(f"error: bad {label} file {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
 
 
-def _load_graph_map(path):
-    try:
-        return gr.GraphMap.from_json(_load(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad graph map file {path}: {exc}", file=sys.stderr)
+def _load_config(path):
+    """A RunConfig with the settings of a JSON object; a malformed one
+    exits with EXIT_INPUT."""
+    data = _load(path)
+    if not isinstance(data, dict):
+        print(f"error: config {path} is not a JSON object", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
+    known = {f.name for f in fields(RunConfig)}
+    cfg = RunConfig()
+    for key, value in data.items():
+        if key not in known:
+            print(f"error: unknown config key {key!r}", file=sys.stderr)
+            raise SystemExit(EXIT_INPUT)
+        # bool is an int subclass, but true is not a count
+        if type(value) is not int or (value < 0 and key != "seed"):
+            print(f"error: bad value {value!r} for config key {key!r}",
+                  file=sys.stderr)
+            raise SystemExit(EXIT_INPUT)
+        setattr(cfg, key, value)
+    return cfg
 
 
-def _load_presheaf(path):
+def _count(text):
+    """argparse type of count flags: a non-negative integer."""
     try:
-        return ps.FinitePresheaf.from_json(_load(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad presheaf file {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
-
-
-def _load_presheaf_map(path):
-    try:
-        return ps.map_from_json(_load(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad presheaf map file {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _vertex(token):
@@ -142,7 +155,7 @@ def cmd_verify_identities(args, cfg):
 
 
 def cmd_check_rlp(args, cfg):
-    f = _load_presheaf_map(args.map)
+    f = _load_as(ps.map_from_json, "presheaf map", args.map)
     n = args.n if args.n is not None else cfg.n
     site = f.source.site
     name = ("J_n_prime_" if args.set == "J" else "I_n_prime_") + site
@@ -171,7 +184,7 @@ def _emit_presheaf(X, args):
 
 
 def cmd_cosk(args, cfg):
-    X = _load_presheaf(args.input)
+    X = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.input)
     n = args.n if args.n is not None else cfg.n
     C, _unit = sk.coskeleton(X, n)
     _emit_presheaf(C, args)
@@ -179,7 +192,7 @@ def cmd_cosk(args, cfg):
 
 
 def cmd_sk(args, cfg):
-    X = _load_presheaf(args.input)
+    X = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.input)
     n = args.n if args.n is not None else cfg.n
     S, _incl = sk.skeleton(X, n)
     _emit_presheaf(S, args)
@@ -187,7 +200,7 @@ def cmd_sk(args, cfg):
 
 
 def cmd_triangulate(args, cfg):
-    X = _load_presheaf(args.input)
+    X = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.input)
     if X.site != "cubical":
         print("error: triangulation needs a cubical input", file=sys.stderr)
         return EXIT_INPUT
@@ -196,14 +209,14 @@ def cmd_triangulate(args, cfg):
 
 
 def cmd_geometric_product(args, cfg):
-    X = _load_presheaf(args.x)
-    Y = _load_presheaf(args.y)
+    X = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.x)
+    Y = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.y)
     _emit_presheaf(pr.geometric_product(X, Y, args.trunc_dim), args)
     return EXIT_OK
 
 
 def cmd_pi0(args, cfg):
-    X = _load_graph(args.graph)
+    X = _load_as(gr.Graph.from_json, "graph", args.graph)
     comps = gr.pi0(X)
     lines = [f"{len(comps)} components"]
     for comp in comps:
@@ -216,7 +229,7 @@ def cmd_pi0(args, cfg):
 
 
 def cmd_a1(args, cfg):
-    X = _load_graph(args.graph)
+    X = _load_as(gr.Graph.from_json, "graph", args.graph)
     base = _vertex(args.base) if args.base is not None else X.vertices[0]
     try:
         pres = p1.a1_presentation(X, base)
@@ -242,7 +255,7 @@ def cmd_a1(args, cfg):
 
 
 def cmd_paths_homotopic(args, cfg):
-    X = _load_graph(args.graph)
+    X = _load_as(gr.Graph.from_json, "graph", args.graph)
     try:
         a = p1.make_path(X, _parse_word(args.p1))
         b = p1.make_path(X, _parse_word(args.p2))
@@ -271,7 +284,7 @@ def cmd_paths_homotopic(args, cfg):
 
 
 def cmd_check_graph_fibration(args, cfg):
-    f = _load_graph_map(args.map)
+    f = _load_as(gr.GraphMap.from_json, "graph map", args.map)
     n = args.n if args.n is not None else cfg.n
     report = nv.is_graph_n_fibration_bounded(
         f,
@@ -297,8 +310,8 @@ def cmd_check_graph_fibration(args, cfg):
 
 
 def cmd_psi_check(args, cfg):
-    f = _load_graph_map(args.f)
-    g = _load_graph_map(args.g)
+    f = _load_as(gr.GraphMap.from_json, "graph map", args.f)
+    g = _load_as(gr.GraphMap.from_json, "graph map", args.g)
     if (f.target.vertices != g.target.vertices
             or f.target.edges() != g.target.edges()):
         print("error: the two maps must share a target", file=sys.stderr)
@@ -324,7 +337,7 @@ def cmd_psi_check(args, cfg):
 
 
 def cmd_nerve_stats(args, cfg):
-    X = _load_graph(args.graph)
+    X = _load_as(gr.Graph.from_json, "graph", args.graph)
     try:
         N = nv.nerve_fragment(
             X,
@@ -373,7 +386,7 @@ def cmd_selftest(args, cfg):
     c1 = ps.build_standard("cube", 1, trunc_dim=3).realized
     P = pr.geometric_product(c1, c1, 3)
     c2 = ps.build_standard("cube", 2, trunc_dim=3).realized
-    square_ok = ps.is_isomorphic(P, c2)
+    square_ok, _ = ps.is_isomorphic(P, c2)
     ok = ok and square_ok
     lines.append(
         f"interval x interval = square: {'pass' if square_ok else 'FAIL'}"
@@ -427,35 +440,35 @@ def _build_parser():
         "verify-identities", cmd_verify_identities,
         site={"choices": ["cubical", "simplicial", "both"],
               "default": "both"},
-        n={"type": int, "default": None},
-        k_max={"type": int, "default": None},
+        n={"type": _count, "default": None},
+        k_max={"type": _count, "default": None},
     )
     add(
         "check-rlp", cmd_check_rlp,
         map={"required": True},
         set={"choices": ["J", "I"], "default": "J"},
-        n={"type": int, "default": None},
+        n={"type": _count, "default": None},
     )
     add(
         "cosk", cmd_cosk,
-        input={"required": True}, n={"type": int, "default": None},
+        input={"required": True}, n={"type": _count, "default": None},
         output={"default": None},
     )
     add(
         "sk", cmd_sk,
-        input={"required": True}, n={"type": int, "default": None},
+        input={"required": True}, n={"type": _count, "default": None},
         output={"default": None},
     )
     add(
         "triangulate", cmd_triangulate,
         input={"required": True},
-        trunc_dim={"type": int, "default": None},
+        trunc_dim={"type": _count, "default": None},
         output={"default": None},
     )
     add(
         "geometric-product", cmd_geometric_product,
         x={"required": True}, y={"required": True},
-        trunc_dim={"type": int, "default": None},
+        trunc_dim={"type": _count, "default": None},
         output={"default": None},
     )
     add("pi0", cmd_pi0, graph={"required": True})
@@ -468,48 +481,41 @@ def _build_parser():
         graph={"required": True},
         p1={"required": True, "help": "comma-separated vertex word"},
         p2={"required": True},
-        support={"type": int, "default": None},
-        max_steps={"type": int, "default": None},
+        support={"type": _count, "default": None},
+        max_steps={"type": _count, "default": None},
     )
     add(
         "check-graph-fibration", cmd_check_graph_fibration,
         map={"required": True},
-        n={"type": int, "default": None},
-        support={"type": int, "default": None},
-        slack={"type": int, "default": None},
-        budget={"type": int, "default": None},
+        n={"type": _count, "default": None},
+        support={"type": _count, "default": None},
+        slack={"type": _count, "default": None},
+        budget={"type": _count, "default": None},
         seed={"type": int, "default": None},
     )
     add(
         "psi-check", cmd_psi_check,
         f={"required": True}, g={"required": True},
-        samples={"type": int, "default": 5},
-        support={"type": int, "default": None},
-        max_steps={"type": int, "default": None},
+        samples={"type": _count, "default": 5},
+        support={"type": _count, "default": None},
+        max_steps={"type": _count, "default": None},
         seed={"type": int, "default": None},
     )
     add(
         "nerve-stats", cmd_nerve_stats,
         graph={"required": True},
-        dim={"type": int, "required": True},
-        support={"type": int, "default": None},
-        budget={"type": int, "default": None},
+        dim={"type": _count, "required": True},
+        support={"type": _count, "default": None},
+        budget={"type": _count, "default": None},
     )
-    add("selftest", cmd_selftest, n={"type": int, "default": None})
+    add("selftest", cmd_selftest, n={"type": _count, "default": None})
     return top
 
 
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig()
-    if args.config:
-        data = _load(args.config)
-        for key, value in data.items():
-            if not hasattr(cfg, key):
-                print(f"error: unknown config key {key!r}", file=sys.stderr)
-                return EXIT_INPUT
-            setattr(cfg, key, value)
+    cfg = _load_config(args.config) if args.config else RunConfig()
     try:
         return args.func(args, cfg)
     except nv.BudgetExceeded as exc:

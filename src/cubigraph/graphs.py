@@ -24,10 +24,11 @@ def _freeze(value):
 class Graph:
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
-        vset = set(self.vertices)
+        # vertex -> its index in the stored order
+        self._pos = {v: i for i, v in enumerate(self.vertices)}
         self.adj = {v: set() for v in self.vertices}
         for u, v in edges:
-            if u not in vset or v not in vset:
+            if u not in self._pos or v not in self._pos:
                 raise ValueError(f"edge endpoint not a vertex: {(u, v)!r}")
             if u != v:
                 self.adj[u].add(v)
@@ -38,18 +39,17 @@ class Graph:
 
     def edges(self):
         """Non-loop edges as ordered pairs (u, v) with u before v."""
-        pos = {v: i for i, v in enumerate(self.vertices)}
+        pos = self._pos
         out = []
         for u in self.vertices:
-            for v in sorted(self.adj[u], key=lambda w: pos[w]):
+            for v in sorted(self.adj[u], key=pos.__getitem__):
                 if pos[u] < pos[v]:
                     out.append((u, v))
         return out
 
     def neighbors(self, v):
         """Closed neighborhood, v first, then stored order."""
-        pos = {w: i for i, w in enumerate(self.vertices)}
-        return [v] + sorted(self.adj[v], key=lambda w: pos[w])
+        return [v] + sorted(self.adj[v], key=self._pos.__getitem__)
 
     def to_json(self):
         return {
@@ -182,8 +182,6 @@ def pullback(f, g):
 
 def graph_product(X, Y):
     """Categorical product (componentwise-both adjacency)."""
-    from .graphs import constant_map
-
     pt = interval(0)
     P, p1, p2 = pullback(constant_map(X, pt, 0), constant_map(Y, pt, 0))
     return P, p1, p2
@@ -208,8 +206,9 @@ def pi0(X):
     return comps
 
 
-def all_graph_maps(X, Y):
-    """Every graph map X -> Y, by backtracking in vertex order."""
+def _backtrack_maps(X, Y, values):
+    """Every graph map X -> Y sending each vertex v into values(v), by
+    backtracking in vertex order."""
     verts = X.vertices
     out = []
     assign = {}
@@ -219,7 +218,7 @@ def all_graph_maps(X, Y):
             out.append(GraphMap(X, Y, assign))
             return
         v = verts[i]
-        for y in Y.vertices:
+        for y in values(v):
             ok = True
             for u in X.adj[v]:
                 if u in assign and not Y.adjacent(assign[u], y):
@@ -232,33 +231,18 @@ def all_graph_maps(X, Y):
 
     backtrack(0)
     return out
+
+
+def all_graph_maps(X, Y):
+    """Every graph map X -> Y, by backtracking in vertex order."""
+    return _backtrack_maps(X, Y, lambda v: Y.vertices)
 
 
 def homotopy_step_maps(h):
     """Graph maps pointwise adjacent to h (one homotopy step away)."""
-    X, Y = h.source, h.target
-    verts = X.vertices
-    out = []
-    assign = {}
-
-    def backtrack(i):
-        if i == len(verts):
-            out.append(GraphMap(X, Y, assign))
-            return
-        v = verts[i]
-        for y in Y.neighbors(h.assignment[v]):
-            ok = True
-            for u in X.adj[v]:
-                if u in assign and not Y.adjacent(assign[u], y):
-                    ok = False
-                    break
-            if ok:
-                assign[v] = y
-                backtrack(i + 1)
-                del assign[v]
-
-    backtrack(0)
-    return out
+    Y = h.target
+    return _backtrack_maps(h.source, Y,
+                           lambda v: Y.neighbors(h.assignment[v]))
 
 
 def is_homotopy_step(h1, h2):

@@ -235,26 +235,6 @@ def generating_set(name, n):
     raise ValueError(f"unknown generating set {name!r}")
 
 
-def is_transferred_naive_n_fibration(f, n):
-    return has_rlp(f, generating_set(_j_name(f), n))
-
-
-def _j_name(f):
-    return (
-        "J_n_prime_cubical" if f.source.site == "cubical" else "J_n_prime_simplicial"
-    )
-
-
-def _i_name(f):
-    return (
-        "I_n_prime_cubical" if f.source.site == "cubical" else "I_n_prime_simplicial"
-    )
-
-
-def is_acyclic_transferred_fibration(f, n):
-    return has_rlp(f, generating_set(_i_name(f), n))
-
-
 def is_kan_fibration_bounded(f, kmax):
     if f.source.site != "cubical":
         raise ValueError("Kan check is cubical")

@@ -22,6 +22,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import site as st
 from .presheaf import FinitePresheaf, PresheafMap
@@ -175,28 +176,24 @@ def enumerate_cubes(X, k, M_max, budget=None):
     return out
 
 
-_DIST_CACHE = {}
+def _bfs_distances(nbrs, start):
+    """Breadth-first distances from start; nbrs[a] lists a's neighbours."""
+    dist = {start: 0}
+    dq = deque([start])
+    while dq:
+        a = dq.popleft()
+        for b in nbrs[a]:
+            if b not in dist:
+                dist[b] = dist[a] + 1
+                dq.append(b)
+    return dist
 
 
+@lru_cache(maxsize=64)
 def _graph_distances(X):
-    """All-pairs shortest-path distances, cached per graph object."""
-    key = id(X)
-    hit = _DIST_CACHE.get(key)
-    if hit is not None and hit[0] is X:
-        return hit[1]
-    table = {}
-    for v in X.vertices:
-        dist = {v: 0}
-        dq = deque([v])
-        while dq:
-            a = dq.popleft()
-            for b in X.adj[a]:
-                if b not in dist:
-                    dist[b] = dist[a] + 1
-                    dq.append(b)
-        table[v] = dist
-    _DIST_CACHE[key] = (X, table)
-    return table
+    """All-pairs shortest-path distances, cached per graph object (graphs
+    hash by identity)."""
+    return {v: _bfs_distances(X.adj, v) for v in X.vertices}
 
 
 def _labelings(X, points, frozen, allowed=None, rng=None, limit=None,
@@ -210,17 +207,8 @@ def _labelings(X, points, frozen, allowed=None, rng=None, limit=None,
     limit caps the number of results; budget caps search steps.
     """
     points = sorted(points)
-    index = {t: j for j, t in enumerate(points)}
+    index, nbrs = _point_graph(points)
     n = len(points)
-    nbrs = [[] for _ in range(n)]
-    for t in points:
-        j = index[t]
-        for axis in range(len(t)):
-            for dlt in (-1, 1):
-                s = t[:axis] + (t[axis] + dlt,) + t[axis + 1:]
-                i = index.get(s)
-                if i is not None:
-                    nbrs[j].append(i)
     closed = {v: frozenset(X.adj[v]) | {v} for v in X.vertices}
     domains = []
     for t in points:
@@ -240,16 +228,8 @@ def _labelings(X, points, frozen, allowed=None, rng=None, limit=None,
         dist_x = _graph_distances(X)
         for j in singles:
             (vj,) = domains[j]
-            dist = {j: 0}
-            dq = deque([j])
-            while dq:
-                a = dq.popleft()
-                for b in nbrs[a]:
-                    if b not in dist:
-                        dist[b] = dist[a] + 1
-                        dq.append(b)
             dvj = dist_x[vj]
-            for i, d in dist.items():
+            for i, d in _bfs_distances(nbrs, j).items():
                 if i == j:
                     continue
                 dom = domains[i]
@@ -372,8 +352,9 @@ def _box_region(k, i, eps, M):
     ]
 
 
-def _face_layer(k, i, eps, M):
-    return [t for t in _grid(M, k) if t[i - 1] == (2 * eps - 1) * M]
+def _boundary_points(k, M):
+    """Grid points on the boundary of [-M, M]^k (all of it when M == 0)."""
+    return [t for t in _grid(M, k) if M == 0 or any(abs(x) == M for x in t)]
 
 
 def _pad(table, M):
@@ -435,14 +416,7 @@ def _member_problems(f, k, i, eps, M, into_boundary, rng, samples, budget):
     """
     X, Y = f.source, f.target
     region = _box_region(k, i, eps, M)
-    if into_boundary:
-        w_points = [
-            t
-            for t in _grid(M, k)
-            if any(abs(t[j]) == M for j in range(k)) or M == 0
-        ]
-    else:
-        w_points = _grid(M, k)
+    w_points = _boundary_points(k, M) if into_boundary else _grid(M, k)
     if rng is None:
         us = _labelings(X, region, {}, budget=budget)
     else:
@@ -542,17 +516,7 @@ def _cycle_filler(order, points, frozen):
     if len(heights) != len(frozen_idx):
         return None  # disconnected frozen data: fall back to search
     # distances from every frozen point; Lipschitz feasibility test
-    dists = {}
-    for j in heights:
-        dist = {j: 0}
-        dq = deque([j])
-        while dq:
-            a = dq.popleft()
-            for b in nbrs[a]:
-                if b not in dist:
-                    dist[b] = dist[a] + 1
-                    dq.append(b)
-        dists[j] = dist
+    dists = {j: _bfs_distances(nbrs, j) for j in heights}
     hs = sorted(heights)
     for ai, a in enumerate(hs):
         da = dists[a]
@@ -578,13 +542,7 @@ def _find_filler(f, k, i, eps, M, slack, u, w, into_boundary, budget):
     u_val = _pad(u, M)
     w_val = _pad(w, M)
     frozen = {t: u_val(t) for t in region}
-    if into_boundary:
-        points = [
-            t for t in _grid(Ms, k)
-            if any(abs(t[j]) == Ms for j in range(k)) or Ms == 0
-        ]
-    else:
-        points = _grid(Ms, k)
+    points = _boundary_points(k, Ms) if into_boundary else _grid(Ms, k)
     fibers = {}
     for y in set(w.values()):
         fibers[y] = {x for x in X.vertices if f.assignment[x] == y}

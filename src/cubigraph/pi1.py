@@ -89,13 +89,9 @@ def inverse(p):
     return p.reversed()
 
 
-def _paddings(word, length, pad_front, pad_back):
-    """The word padded to the given length with endpoint repeats."""
+def _paddings(word, pad_front, pad_back):
+    """The word padded with endpoint repeats at the front and the back."""
     return (word[0],) * pad_front + word + (word[-1],) * pad_back
-
-
-def _pointwise_adjacent(graph, a, b):
-    return all(graph.adjacent(u, v) for u, v in zip(a, b))
 
 
 def _step_neighbors(graph, word, max_support):
@@ -109,7 +105,7 @@ def _step_neighbors(graph, word, max_support):
     base_len = len(word)
     for length in range(base_len, max_support + 2):
         for front in range(length - base_len + 1):
-            padded = _paddings(word, length, front, length - base_len - front)
+            padded = _paddings(word, front, length - base_len - front)
             # build candidates position by position: each entry must be
             # adjacent to the padded layer (pointwise) and to its
             # predecessor (a path), with both endpoints pinned
@@ -229,18 +225,26 @@ class GroupoidPresentation:
             return 0, []
         if not self.relators:
             return g, []
-        rows = []
-        for rel in self.relators:
-            row = [0] * g
-            for index, sign in rel:
-                row[index] += sign
-            rows.append(row)
-        snf = smith_normal_form(sympy.Matrix(rows))
+        snf = smith_normal_form(sympy.Matrix(_relator_rows(self)))
         diag = [abs(snf[i, i]) for i in range(min(snf.shape))]
         nonzero = [d for d in diag if d != 0]
         rank = g - len(nonzero)
         torsion = [d for d in nonzero if d != 1]
         return rank, torsion
+
+
+def _abelian_image(word, g):
+    """Exponent sum of each of the g generators in a generator word."""
+    row = [0] * g
+    for index, sign in word:
+        row[index] += sign
+    return row
+
+
+def _relator_rows(pres):
+    """The relators abelianized, one integer row each."""
+    g = len(pres.generators)
+    return [_abelian_image(rel, g) for rel in pres.relators]
 
 
 def _free_reduce(word):
@@ -285,15 +289,15 @@ def a1_presentation(X, x):
     parent = {x: None}
     order = [x]
     frontier = deque([x])
-    pos = {v: i for i, v in enumerate(X.vertices)}
+    pos = X._pos
     while frontier:
         u = frontier.popleft()
-        for w in sorted(X.adj[u], key=lambda v: pos[v]):
+        for w in sorted(X.adj[u], key=pos.__getitem__):
             if w not in parent:
                 parent[w] = u
                 order.append(w)
                 frontier.append(w)
-    component = tuple(sorted(order, key=lambda v: pos[v]))
+    component = tuple(sorted(order, key=pos.__getitem__))
     in_comp = set(component)
     tree = {(v, p) for v, p in parent.items() if p is not None}
     tree |= {(p, v) for v, p in tree}
@@ -342,21 +346,11 @@ def loop_word_trivial(pres, word, max_length=16, max_states=20000):
         return True
     if not pres.relators:
         return False  # free group: reduced nonempty word is nontrivial
-    g = len(pres.generators)
-    image = [0] * g
-    for index, sign in word:
-        image[index] += sign
-    if any(image):
-        rows = []
-        for rel in pres.relators:
-            row = [0] * g
-            for index, sign in rel:
-                row[index] += sign
-            rows.append(row)
-        # nonzero abelian image: the word is nontrivial unless the image
-        # lies in the relation lattice
-        if not _lattice_contains(rows, image):
-            return False
+    image = _abelian_image(word, len(pres.generators))
+    # nonzero abelian image: the word is nontrivial unless the image lies
+    # in the relation lattice
+    if any(image) and not _lattice_contains(_relator_rows(pres), image):
+        return False
     # bounded rewriting toward the empty word
     moves = []
     for rel in pres.relators:
@@ -502,7 +496,7 @@ def psi_comparison(f, g, samples=10, seed=0, max_len=4,
     upstairs (faithfulness).  Per-sample verdicts are pass/inconclusive;
     a hard failure marks the report failed.
     """
-    X, Y, Z = f.source, g.source, f.target
+    X, Y = f.source, g.source
     P, p1, p2 = pullback(f, g)
     rng = random.Random(seed)
     report = {
@@ -518,14 +512,6 @@ def psi_comparison(f, g, samples=10, seed=0, max_len=4,
     # component pairing when Z is connected through constant paths only
     # (exact when every pair of relevant image paths is checked).
     comps_p = pi0(P)
-    comp_of_x = {}
-    for idx, comp in enumerate(pi0(X)):
-        for v in comp:
-            comp_of_x[v] = idx
-    comp_of_y = {}
-    for idx, comp in enumerate(pi0(Y)):
-        for v in comp:
-            comp_of_y[v] = idx
     target_classes = _target_pi0_classes(f, g, max_support, max_steps)
     if target_classes is None:
         report["pi0"] = {"verdict": "inconclusive"}
@@ -602,24 +588,12 @@ def _target_pi0_classes(f, g, max_support, max_steps):
         for y in Y.vertices
         if f.assignment[x] == g.assignment[y]
     ]
-    index = {v: i for i, v in enumerate(objects)}
-    parent = list(range(len(objects)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    in_objects = set(objects)
+    identified = []
     for (x, y) in objects:
         for x2 in X.neighbors(x):
             for y2 in Y.neighbors(y):
-                if (x2, y2) not in index:
+                if (x2, y2) not in in_objects:
                     continue
                 px = make_path(X, (x, x2))
                 py = make_path(Y, (y, y2))
@@ -627,14 +601,19 @@ def _target_pi0_classes(f, g, max_support, max_steps):
                     px.mapped(f), py.mapped(g), max_support, max_steps
                 )
                 if r.verdict == "yes":
-                    union(index[(x, y)], index[(x2, y2)])
+                    identified.append(((x, y), (x2, y2)))
                 elif r.verdict == "inconclusive":
                     return None
-    return {v: find(i) for v, i in index.items()}
+    classes = pi0(Graph(objects, identified))
+    return {v: idx for idx, comp in enumerate(classes) for v in comp}
 
 
 def _fullness_sample(f, g, P, eta, tau, max_support, max_steps):
     sample = {"eta": eta.word, "tau": tau.word}
+    if f.assignment[eta.end] != g.assignment[tau.end]:
+        # (eta, tau) is not a morphism pair of the pullback groupoid
+        sample["verdict"] = "skipped (images end apart)"
+        return sample
     down = path_homotopic_bounded(
         eta.mapped(f), tau.mapped(g), max_support, max_steps
     )
@@ -675,9 +654,9 @@ def _pairs_to_pullback_path(f, g, P, ex, wy):
     la, lb = len(ex.word), len(wy.word)
     for width in range(max(la, lb), la + lb + 1):
         for fa in range(width - la + 1):
-            xw = _paddings(ex.word, width, fa, width - la - fa)
+            xw = _paddings(ex.word, fa, width - la - fa)
             for fb in range(width - lb + 1):
-                yw = _paddings(wy.word, width, fb, width - lb - fb)
+                yw = _paddings(wy.word, fb, width - lb - fb)
                 if all(
                     f.assignment[x] == g.assignment[y]
                     for x, y in zip(xw, yw)
@@ -769,7 +748,6 @@ def is_isofibration_bounded(f, max_len=4, max_support=8, max_steps=20000,
                      "reason": "empty fiber over the path end"},
                 )
             found = False
-            undecided = False
             for end in fiber:
                 for w in _paths_between(X, x, end, max_len + max_support):
                     cand = make_path(X, w)
@@ -779,17 +757,12 @@ def is_isofibration_bounded(f, max_len=4, max_support=8, max_steps=20000,
                     if r.verdict == "yes":
                         found = True
                         break
-                    if r.verdict == "inconclusive":
-                        undecided = True
                 if found:
                     break
             if not found:
-                if undecided:
-                    inconclusive += 1
-                else:
-                    # every candidate within bounds conclusively fails;
-                    # still only a bounded statement, so stay honest
-                    inconclusive += 1
+                # a miss is only a bounded statement, whether every
+                # candidate failed or some search ran out, so stay honest
+                inconclusive += 1
     if inconclusive:
         return IsofibrationReport(
             "inconclusive",

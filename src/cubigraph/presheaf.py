@@ -143,14 +143,12 @@ class FinitePresheaf:
 
     def to_json(self):
         """Relabel cells to per-dimension integers and emit the JSON form."""
-        rel = {
-            d: {c: i for i, c in enumerate(self.cells[d])} for d in self.dims()
-        }
+        rel = self._index
         action = []
         for (key, d), table in sorted(
             self.action.items(), key=lambda kv: (kv[0][1], kv[0][0])
         ):
-            tgt = _gen_target_dim(self.site, key, d)
+            tgt = _gen_target_dim(key, d)
             action.append(
                 {
                     "gen": list(key),
@@ -182,7 +180,7 @@ class FinitePresheaf:
         return X
 
 
-def _gen_target_dim(site_name, key, from_dim):
+def _gen_target_dim(key, from_dim):
     if key[0] == "face":
         return from_dim - 1
     return from_dim + 1
@@ -252,13 +250,6 @@ class PresheafMap:
                 return False
         return True
 
-    def inverse(self):
-        comps = {
-            d: {v: c for c, v in self.components[d].items()}
-            for d in self.source.dims()
-        }
-        return PresheafMap(self.target, self.source, comps)
-
     def __eq__(self, other):
         return (
             isinstance(other, PresheafMap) and self.components == other.components
@@ -276,14 +267,7 @@ class PresheafMap:
 def map_to_json(f):
     """Serialize a presheaf map with both objects, cells relabeled to the
     per-dimension integers used by FinitePresheaf.to_json."""
-    rel_s = {
-        d: {c: i for i, c in enumerate(f.source.cells[d])}
-        for d in f.source.dims()
-    }
-    rel_t = {
-        d: {c: i for i, c in enumerate(f.target.cells[d])}
-        for d in f.target.dims()
-    }
+    rel_t = f.target._index
     return {
         "source": f.source.to_json(),
         "target": f.target.to_json(),
@@ -437,31 +421,47 @@ def disjoint_union(X, Y):
     return FinitePresheaf(X.site, X.trunc_dim, cells, action)
 
 
+class _UnionFind:
+    """Union-find over hashable nodes (never None); each class is rooted
+    at its member with the least key(node)."""
+
+    def __init__(self, key):
+        self.key = key
+        self.parent = {}  # non-root node -> a node nearer its root
+
+    def find(self, node):
+        parent = self.parent
+        up = parent.get(node)
+        while up is not None:
+            top = parent.get(up)
+            if top is None:
+                return up
+            parent[node] = top  # path halving
+            node, up = top, parent.get(top)
+        return node
+
+    def union(self, a, b):
+        """Merge the classes of a and b; False if they were one already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.key(rb) < self.key(ra):
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+
 def quotient(X, pairs):
     """Quotient X by the congruence generated by pairs of (dim, cell, cell).
 
     Identifications propagate through every generator action; the class
     representative is the member earliest in stored order.
     """
-    parent = {}
-
-    def find(node):
-        while parent.get(node, node) != node:
-            parent[node] = parent.get(parent[node], parent[node])
-            node = parent[node]
-        return node
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[rb] = ra
-        return True
-
+    classes = _UnionFind(key=lambda node: (node[0], X.cell_index(*node)))
     queue = [((d, a), (d, b)) for d, a, b in pairs]
     while queue:
         na, nb = queue.pop()
-        if not union(na, nb):
+        if not classes.union(na, nb):
             continue
         d, ca = na
         _, cb = nb
@@ -470,15 +470,9 @@ def quotient(X, pairs):
             vb = X.act_gen(key, d, cb)
             queue.append(((g.source_dim, va), (g.source_dim, vb)))
 
-    classes = {}
-    for d in X.dims():
-        for c in X.cells[d]:
-            classes.setdefault(find((d, c)), []).append((d, c))
-    rep = {}
-    for key_node, members in classes.items():
-        best = min(members, key=lambda dc: X.cell_index(dc[0], dc[1]))
-        for m in members:
-            rep[m] = best[1]
+    rep = {
+        (d, c): classes.find((d, c))[1] for d in X.dims() for c in X.cells[d]
+    }
     cells = {}
     for d in X.dims():
         seen = []
@@ -685,11 +679,3 @@ def is_isomorphic_over(f, g):
                 return False, None
             forced[(d, a)] = b
     return is_isomorphic(f.target, g.target, forced=forced)
-
-
-def is_isomorphic_under(f, g):
-    """Isomorphism A -> B commuting with maps f: A -> Z, g: B -> Z."""
-    for phi in enumerate_maps(f.source, g.source, injective_nondeg=True):
-        if phi.is_levelwise_bijection() and g.compose(phi) == f:
-            return True, phi
-    return False, None

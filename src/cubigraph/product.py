@@ -15,7 +15,7 @@ the generator actions via a union-find pass.
 from __future__ import annotations
 
 from . import site as st
-from .presheaf import FinitePresheaf, PresheafMap
+from .presheaf import FinitePresheaf, PresheafMap, _UnionFind
 from .site import CubeMorphism, SimplexMorphism, cube_compose, cube_tensor
 
 
@@ -160,33 +160,15 @@ def triangulate(X, trunc_dim=None):
     if trunc_dim is None:
         trunc_dim = X.trunc_dim
     D = trunc_dim
-    nodes = {}
     order = {}
     chain_cache = {(n, k): _chains(n, k) for n in range(X.trunc_dim + 1) for k in range(D + 1)}
-    counter = 0
     for n in X.dims():
         for x in X.cells[n]:
             for k in range(D + 1):
                 for s in chain_cache[(n, k)]:
-                    nodes[(k, n, x, s)] = (k, n, x, s)
-                    order[(k, n, x, s)] = counter
-                    counter += 1
-
-    parent = dict(nodes)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if order[rb] < order[ra]:
-            ra, rb = rb, ra
-        parent[rb] = ra
+                    order[(k, n, x, s)] = len(order)
+    classes = _UnionFind(key=order.__getitem__)
+    find = classes.find
 
     for n in X.dims():
         for key, g in st.CUBICAL.generators(n, X.trunc_dim):
@@ -196,14 +178,13 @@ def triangulate(X, trunc_dim=None):
                 for k in range(D + 1):
                     for s in chain_cache[(a, k)]:
                         gs = tuple(g.evaluate(v) for v in s)
-                        union((k, a, y, s), (k, n, x, gs))
+                        classes.union((k, a, y, s), (k, n, x, gs))
 
     cells = {}
-    reps_at = {}
     for k in range(D + 1):
         seen = []
         seen_set = set()
-        for node in nodes:
+        for node in order:
             if node[0] != k:
                 continue
             r = find(node)
@@ -212,7 +193,6 @@ def triangulate(X, trunc_dim=None):
                 seen.append(r)
         seen.sort(key=lambda r: order[r])
         cells[k] = tuple(seen)
-        reps_at[k] = seen_set
 
     action = {}
     for k in range(D + 1):

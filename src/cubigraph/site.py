@@ -30,10 +30,6 @@ CONST0 = ("c", 0)
 CONST1 = ("c", 1)
 
 
-def var(i: int):
-    return ("v", i)
-
-
 def _mk_node(op: str, children):
     """Normalize a max/min node: flatten, absorb constants, collapse."""
     absorbing = CONST1 if op == "max" else CONST0
@@ -54,14 +50,6 @@ def _mk_node(op: str, children):
         return flat[0]
     flat.sort(key=_term_min_var)
     return (op, tuple(flat))
-
-
-def mk_max(children):
-    return _mk_node("max", children)
-
-
-def mk_min(children):
-    return _mk_node("min", children)
 
 
 def term_support(t) -> frozenset:
@@ -229,21 +217,6 @@ def cube_connection(i: int, eps: int, n: int) -> CubeMorphism:
     return CubeMorphism(n, tuple(coords))
 
 
-def cube_generator(kind: str, i: int, n: int, eps: int | None = None) -> CubeMorphism:
-    """Spec-facing constructor: `n` is the dim parameter of the generator.
-
-    face(i, eps) at dim n targets [1]^n; degeneracy(i)/connection(i, eps)
-    at dim n start from [1]^n.
-    """
-    if kind == "face":
-        return cube_face(i, eps, n)
-    if kind == "degeneracy":
-        return cube_degeneracy(i, n)
-    if kind == "connection":
-        return cube_connection(i, eps, n)
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
 def cube_is_face_type(m: CubeMorphism) -> bool:
     """True iff m is a composite of face maps only."""
     return all(t[0] in ("c", "v") for t in m.coords) and m.is_canonical() and (
@@ -294,13 +267,12 @@ def _deepest_node_leaves(t, path=()):
 
 def _merge_leaves(t, j):
     """Replace the leaf pair (j, j+1) by leaf j and relabel higher vars down."""
-    rel = {v: (v if v <= j else v - 1) for v in range(1, 10000)}
-
     def go(t):
         if t[0] == "c":
             return t
         if t[0] == "v":
-            return ("v", rel[t[1]])
+            v = t[1]
+            return ("v", v if v <= j else v - 1)
         kids = []
         for ch in t[1]:
             if ch == ("v", j + 1):
@@ -517,22 +489,6 @@ def simplex_degeneracy(i: int, n: int) -> SimplexMorphism:
     return SimplexMorphism(n, tuple(vals))
 
 
-def simplex_is_face_type(m: SimplexMorphism) -> bool:
-    return all(a < b for a, b in zip(m.values, m.values[1:]))
-
-
-def simplex_is_epi_type(m: SimplexMorphism) -> bool:
-    return set(m.values) == set(range(m.target_dim + 1))
-
-
-def simplex_mono_epi(m: SimplexMorphism):
-    image = sorted(set(m.values))
-    rank = {v: k for k, v in enumerate(image)}
-    epi = SimplexMorphism(len(image) - 1, tuple(rank[v] for v in m.values))
-    mono = SimplexMorphism(m.target_dim, tuple(image))
-    return mono, epi
-
-
 def simplex_factor(m: SimplexMorphism):
     """m = faces . degeneracies, outermost first."""
     if m.is_identity():
@@ -559,10 +515,6 @@ def all_simplex_morphisms(m: int, n: int):
     ]
     out.sort(key=repr)
     return tuple(out)
-
-
-def all_simplex_epis(m: int, n: int):
-    return tuple(f for f in all_simplex_morphisms(m, n) if simplex_is_epi_type(f))
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +547,6 @@ class SiteOps:
     def all_morphisms(self, m, n):
         return all_cube_morphisms(m, n) if self.cubical else all_simplex_morphisms(m, n)
 
-    def all_epis(self, m, n):
-        return all_cube_epis(m, n) if self.cubical else all_simplex_epis(m, n)
-
     def factor(self, m):
         out = self._factor_cache.get(m)
         if out is None:
@@ -612,15 +561,6 @@ class SiteOps:
         """Factorization as a list of ((gen_key, acting_dim), next_dim)."""
         self.factor(m)
         return self._factor_cache[m][1]
-
-    def is_face_type(self, m):
-        return cube_is_face_type(m) if self.cubical else simplex_is_face_type(m)
-
-    def is_epi_type(self, m):
-        return cube_is_epi_type(m) if self.cubical else simplex_is_epi_type(m)
-
-    def mono_epi(self, m):
-        return cube_mono_epi(m) if self.cubical else simplex_mono_epi(m)
 
     def generators(self, k, trunc_dim):
         """Generator keys and morphisms acting on cells of dimension k.

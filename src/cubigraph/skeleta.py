@@ -15,9 +15,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import site as st
+from .lifting import _box_indices
 from .presheaf import (
     FinitePresheaf,
     PresheafMap,
+    _cube_const_slots,
+    _cube_nonconst,
     enumerate_maps,
     representable,
     subpresheaf,
@@ -141,10 +144,6 @@ def coskeleton_map(f, n, out_dim=None):
 # skeletal identities on standard inclusions
 
 
-def _cube_root_dim(c):
-    return sum(1 for t in c.coords if t[0] != "c")
-
-
 def _simplex_root_dim(c):
     return len(set(c.values)) - 1
 
@@ -156,7 +155,7 @@ def _standard_sets(site_name, k, dims):
 
 
 def _sk(site_name, m, sets):
-    rd = _cube_root_dim if site_name == "cubical" else _simplex_root_dim
+    rd = _cube_nonconst if site_name == "cubical" else _simplex_root_dim
     return {j: {c for c in cs if rd(c) <= m} for j, cs in sets.items()}
 
 
@@ -164,13 +163,12 @@ def verify_skeletal_identities(site_name, n, k_max):
     """Check the sk_{n+1} identities on boundary and horn/open-box
     inclusions for all k <= k_max; returns a list of case reports."""
     cases = []
-    rd = _cube_root_dim if site_name == "cubical" else _simplex_root_dim
     for k in range(1, k_max + 1):
         dims = range(k + 1)
         full = _standard_sets(site_name, k, dims)
         if site_name == "cubical":
             bd = {
-                j: {c for c in full[j] if _has_const(c)} for j in dims
+                j: {c for c in full[j] if _cube_const_slots(c)} for j in dims
             }
         else:
             bd = {
@@ -192,7 +190,8 @@ def verify_skeletal_identities(site_name, n, k_max):
         for i, eps in _horn_indices(site_name, k):
             if site_name == "cubical":
                 box = {
-                    j: {c for c in full[j] if _const_slots(c) - {(i, eps)}}
+                    j: {c for c in full[j]
+                        if _cube_const_slots(c) - {(i, eps)}}
                     for j in dims
                 }
             else:
@@ -221,15 +220,7 @@ def verify_skeletal_identities(site_name, n, k_max):
     return cases
 
 
-def _has_const(c):
-    return any(t[0] == "c" for t in c.coords)
-
-
-def _const_slots(c):
-    return {(i + 1, t[1]) for i, t in enumerate(c.coords) if t[0] == "c"}
-
-
 def _horn_indices(site_name, k):
     if site_name == "cubical":
-        return [(i, eps) for i in range(1, k + 1) for eps in (0, 1)]
+        return _box_indices(k)
     return [(i, None) for i in range(k + 1)]

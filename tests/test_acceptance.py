@@ -53,7 +53,10 @@ def test_criterion_01_skeletal_identities():
     started = time.time()
     for site_name in ("cubical", "simplicial"):
         for n in (0, 1, 2):
-            assert sk.verify_skeletal_identities(site_name, n, n + 3)
+            rows = sk.verify_skeletal_identities(site_name, n, n + 3)
+            assert rows
+            assert all(row["ok"] for row in rows), [
+                row for row in rows if not row["ok"]]
     _report(1, "skeletal identities", started, 60)
 
 

@@ -55,11 +55,18 @@ def test_selftest(capsys):
     assert "selftest passed" in out
 
 
+def test_selftest_fails_when_the_square_check_fails(monkeypatch, capsys):
+    monkeypatch.setattr(ps, "is_isomorphic", lambda X, Y: (False, None))
+    code, out = run(["selftest"], capsys)
+    assert code == 1
+    assert "interval x interval = square: FAIL" in out
+
+
 def test_pi0_command(files, capsys):
     code, out = run(["pi0", "--graph", files["c5.json"], "--json"], capsys)
     assert code == 0
     data = json.loads(out)
-    assert data["components"] == 1 or len(data.get("classes", [1])) == 1
+    assert data["count"] == 1
 
 
 def test_a1_command(files, capsys):
@@ -154,6 +161,23 @@ def test_unknown_config_key_is_input_error(tmp_path, files, capsys):
     code, _ = run(
         ["--config", str(cfg), "pi0", "--graph", files["c5.json"]], capsys)
     assert code == 2
+
+
+def test_malformed_config_value_is_input_error(tmp_path, files, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cell_budget": "lots"}))
+    code, out = run(
+        ["--config", str(cfg), "nerve-stats", "--graph", files["c4.json"],
+         "--dim", "1"], capsys)
+    assert code == 2
+    assert out == ""
+
+
+def test_negative_count_flag_is_input_error(files, capsys):
+    code, out = run(
+        ["nerve-stats", "--graph", files["c4.json"], "--dim", "-1"], capsys)
+    assert code == 2
+    assert out == ""
 
 
 def test_json_reports_are_deterministic(files, capsys):

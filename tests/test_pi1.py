@@ -173,3 +173,14 @@ def test_psi_comparison_small_instance():
     assert report["pi0"]["verdict"] == "bijection"
     for entry in report["fullness"]:
         assert entry["verdict"] in ("pass", "inconclusive", "skipped")
+
+
+def test_psi_comparison_skips_samples_whose_images_end_apart():
+    # the sampled eta and tau of id I1 end at different vertices; such a
+    # pair is no morphism of the pullback groupoid and is skipped
+    idI1 = gr.graph_identity(gr.interval(1))
+    report = pi1.psi_comparison(idI1, idI1, samples=2, seed=0)
+    assert report["passed"] is True
+    assert report["pi0"]["verdict"] == "bijection"
+    assert "skipped (images end apart)" in [
+        entry["verdict"] for entry in report["fullness"]]
