@@ -160,6 +160,11 @@ def cmd_check_rlp(args, cfg):
     site = f.source.site
     name = ("J_n_prime_" if args.set == "J" else "I_n_prime_") + site
     gens = lf.generating_set(name, n)
+    if gens.max_k() > f.source.trunc_dim:
+        print(f"error: --n {n} needs members of dimension {gens.max_k()}, "
+              f"above the map's truncation {f.source.trunc_dim}",
+              file=sys.stderr)
+        return EXIT_INPUT
     holds, witness = lf.has_rlp(f, gens)
     lines = [f"RLP against {name} (n={n}): {'yes' if holds else 'no'}"]
     if witness is not None:
@@ -183,9 +188,20 @@ def _emit_presheaf(X, args):
         print(text)
 
 
+def _level(X, args, cfg):
+    """The --n level of sk/cosk; one above X's truncation exits with
+    EXIT_INPUT."""
+    n = args.n if args.n is not None else cfg.n
+    if n > X.trunc_dim:
+        print(f"error: --n {n} exceeds the input's truncation {X.trunc_dim}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
+    return n
+
+
 def cmd_cosk(args, cfg):
     X = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.input)
-    n = args.n if args.n is not None else cfg.n
+    n = _level(X, args, cfg)
     C, _unit = sk.coskeleton(X, n)
     _emit_presheaf(C, args)
     return EXIT_OK
@@ -193,7 +209,7 @@ def cmd_cosk(args, cfg):
 
 def cmd_sk(args, cfg):
     X = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.input)
-    n = args.n if args.n is not None else cfg.n
+    n = _level(X, args, cfg)
     S, _incl = sk.skeleton(X, n)
     _emit_presheaf(S, args)
     return EXIT_OK
@@ -262,7 +278,8 @@ def cmd_paths_homotopic(args, cfg):
         report = p1.path_homotopic_bounded(
             a, b,
             max_support=args.support,
-            max_steps=args.max_steps or cfg.max_steps,
+            max_steps=(args.max_steps if args.max_steps is not None
+                       else cfg.max_steps),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -320,8 +337,9 @@ def cmd_psi_check(args, cfg):
         f, g,
         samples=args.samples,
         seed=args.seed if args.seed is not None else cfg.seed,
-        max_support=args.support or 8,
-        max_steps=args.max_steps or cfg.max_steps,
+        max_support=args.support if args.support is not None else 8,
+        max_steps=(args.max_steps if args.max_steps is not None
+                   else cfg.max_steps),
     )
     lines = [f"pi0: {report['pi0']['verdict']}"]
     for label in ("fullness", "faithfulness"):

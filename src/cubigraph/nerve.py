@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -176,24 +175,84 @@ def enumerate_cubes(X, k, M_max, budget=None):
     return out
 
 
-def _bfs_distances(nbrs, start):
-    """Breadth-first distances from start; nbrs[a] lists a's neighbours."""
-    dist = {start: 0}
-    dq = deque([start])
-    while dq:
-        a = dq.popleft()
-        for b in nbrs[a]:
-            if b not in dist:
-                dist[b] = dist[a] + 1
-                dq.append(b)
-    return dist
+def _bfs_levels(nbrs, start):
+    """Breadth-first levels from start: levels[d] lists the nodes at
+    distance d, in discovery order; nbrs[a] lists a's neighbours."""
+    seen = {start}
+    levels = [[start]]
+    while True:
+        nxt = []
+        for a in levels[-1]:
+            for b in nbrs[a]:
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        if not nxt:
+            return levels
+        levels.append(nxt)
+
+
+@lru_cache(maxsize=128)
+def _shape(points):
+    """Compiled tables of a sorted point tuple with box adjacency.
+
+    Returns the point index, the neighbour lists, and the all-pairs grid
+    distances as ball masks over the points: balls[j][r] has bit i set
+    when point i is within grid distance r of point j, for r up to j's
+    eccentricity (the last ball is j's component).
+    """
+    index = {t: j for j, t in enumerate(points)}
+    nbrs = [[] for _ in points]
+    for j, t in enumerate(points):
+        for axis in range(len(t)):
+            for dlt in (-1, 1):
+                s = t[:axis] + (t[axis] + dlt,) + t[axis + 1:]
+                if s in index:
+                    nbrs[j].append(index[s])
+    balls = []
+    for j in range(len(points)):
+        ball, acc = [], 0
+        for level in _bfs_levels(nbrs, j):
+            for i in level:
+                acc |= 1 << i
+            ball.append(acc)
+        balls.append(ball)
+    return index, nbrs, balls
+
+
+def _bits(mask):
+    """The set bits of an int mask, lowest first, each as a mask."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 @lru_cache(maxsize=64)
-def _graph_distances(X):
-    """All-pairs shortest-path distances, cached per graph object (graphs
-    hash by identity)."""
-    return {v: _bfs_distances(X.adj, v) for v in X.vertices}
+def _graph_bits(X):
+    """Bit tables of a graph, cached per graph object (graphs hash by
+    identity).
+
+    Bit j stands for the j-th vertex in repr order, so the bits of a
+    domain in increasing order list it as sorted(domain, key=repr) would.
+    Returns the vertices in bit order, vertex -> bit, and two tables keyed
+    by a vertex w's bit: closed[w], its closed-neighbourhood mask, and
+    far[w], a (bit of v, dist(v, w) - 1) pair for each vertex v != w, with
+    -1 when w cannot reach v.
+    """
+    verts = sorted(X.vertices, key=repr)
+    bit = {v: 1 << j for j, v in enumerate(verts)}
+    closed = {}
+    far = {}
+    for w in verts:
+        b = bit[w]
+        for u in X.adj[w]:
+            b |= bit[u]
+        closed[bit[w]] = b
+        levels = _bfs_levels(X.adj, w)
+        radius = {v: d - 1 for d, level in enumerate(levels) for v in level}
+        far[bit[w]] = [(bit[v], radius.get(v, -1)) for v in verts if v != w]
+    return verts, bit, closed, far
 
 
 def _labelings(X, points, frozen, allowed=None, rng=None, limit=None,
@@ -204,97 +263,116 @@ def _labelings(X, points, frozen, allowed=None, rng=None, limit=None,
     minimum-remaining-values ordering (ties broken by point order, so
     results are deterministic).  frozen: point -> forced vertex; allowed:
     point -> permitted vertex set; rng shuffles value order (sampling);
-    limit caps the number of results; budget caps search steps.
+    limit caps the number of results; budget caps search steps.  Domains
+    are int bitmasks over the graph's vertices (see _graph_bits).
     """
-    points = sorted(points)
-    index, nbrs = _point_graph(points)
+    points = tuple(sorted(points))
+    _, nbrs, grid_balls = _shape(points)
+    verts, bit, closed, far = _graph_bits(X)
     n = len(points)
-    closed = {v: frozenset(X.adj[v]) | {v} for v in X.vertices}
+    full = (1 << len(verts)) - 1
     domains = []
     for t in points:
         if t in frozen:
-            dom = {frozen[t]}
+            dom = bit[frozen[t]]
         elif allowed is not None and t in allowed:
-            dom = set(allowed[t])
+            dom = 0
+            for v in allowed[t]:
+                dom |= bit[v]
         else:
-            dom = set(X.vertices)
+            dom = full
         domains.append(dom)
 
     # distance pruning: a labeling is a graph map from the (reflexive)
     # point grid, so it contracts distances -- a point at grid distance d
-    # from a decided point can only take values within graph distance d
-    singles = [j for j in range(n) if len(domains[j]) == 1]
+    # from a decided point j can only take values within graph distance d
+    # of j's value w.  So v is ruled out on the grid ball around j of
+    # radius dist(v, w) - 1, and on all of j's component when w cannot
+    # reach v (index -1 picks the last ball).  A domain emptied on a point
+    # some decided point reaches leaves no labeling.
+    singles = [j for j in range(n) if domains[j].bit_count() == 1]
     if singles and len(singles) < n:
-        dist_x = _graph_distances(X)
+        ruled_out = dict.fromkeys(bit.values(), 0)
+        reach = 0
         for j in singles:
-            (vj,) = domains[j]
-            dvj = dist_x[vj]
-            for i, d in _bfs_distances(nbrs, j).items():
-                if i == j:
-                    continue
-                dom = domains[i]
-                for v in [v for v in dom if dvj.get(v, n + d + 1) > d]:
-                    dom.discard(v)
-                if not dom:
-                    return []
+            around = grid_balls[j]
+            top = len(around) - 1
+            reach |= around[top]
+            for b, r in far[domains[j]]:
+                ruled_out[b] |= around[min(r, top)]
+        for i in range(n):
+            dom = domains[i]
+            for low in _bits(dom):
+                if ruled_out[low] >> i & 1:
+                    dom ^= low
+            if not dom and reach >> i & 1:
+                return []
+            domains[i] = dom
 
     def propagate(queue, trail):
-        """AC-3 from the queued point indices; records removals on trail."""
+        """AC-3 from the queued point indices; records removed masks on
+        trail."""
         while queue:
             if budget is not None:
                 budget.spend()
             j = queue.pop()
             dj = domains[j]
+            support = closed.get(dj)
+            if support is None:
+                support = 0
+                for low in _bits(dj):
+                    support |= closed[low]
             for i in nbrs[j]:
                 di = domains[i]
-                dead = [v for v in di if not any(v in closed[w] for w in dj)]
+                dead = di & ~support
                 if dead:
-                    for v in dead:
-                        di.discard(v)
-                        trail.append((i, v))
+                    di ^= dead
+                    domains[i] = di
+                    trail.append((i, dead))
                     if not di:
                         return False
                     queue.append(i)
         return True
 
     out = []
-    trail0 = []
-    if not propagate(list(range(n)), trail0):
+    if not propagate(list(range(n)), []):
         return out
-    order_key = list(range(n))
 
     def search():
         if limit is not None and len(out) >= limit:
             return
         if budget is not None:
             budget.spend()
-        best, best_size = None, None
-        for j in order_key:
-            size = len(domains[j])
-            if size > 1 and (best_size is None or size < best_size):
-                best, best_size = j, size
-        if best is None:
-            out.append({t: next(iter(domains[index[t]])) for t in points})
+        # minimum remaining values, ties to the first point
+        sizes = list(map(int.bit_count, domains))
+        best_size = min(filter((1).__lt__, sizes), default=None)
+        if best_size is None:
+            # an empty domain here is a component with no value at all
+            if all(domains):
+                out.append({
+                    t: verts[dom.bit_length() - 1]
+                    for t, dom in zip(points, domains)
+                })
             return
-        def freedom(v):
-            cv = closed[v]
-            return sum(
-                sum(1 for w in domains[i] if w in cv) for i in nbrs[best]
-            )
+        best = sizes.index(best_size)
 
-        cands = sorted(domains[best], key=repr)
+        def freedom(b):
+            cb = closed[b]
+            return sum((domains[i] & cb).bit_count() for i in nbrs[best])
+
+        saved = domains[best]
+        cands = list(_bits(saved))
         if rng is not None:
             rng.shuffle(cands)
         else:
             cands.sort(key=freedom, reverse=True)
-        saved = domains[best]
-        for v in cands:
-            domains[best] = {v}
+        for b in cands:
+            domains[best] = b
             trail = []
             if propagate([best], trail):
                 search()
-            for i, w in trail:
-                domains[i].add(w)
+            for i, dead in trail:
+                domains[i] |= dead
             domains[best] = saved
             if limit is not None and len(out) >= limit:
                 return
@@ -338,9 +416,10 @@ def nerve_map(f, NX, NY):
 # bounded open-box lifting for graph maps
 
 
+@lru_cache(maxsize=256)
 def _box_region(k, i, eps, M):
     """Grid points of the open box: on some face other than (i, eps)."""
-    return [
+    return tuple(
         t
         for t in _grid(M, k)
         if any(
@@ -349,21 +428,22 @@ def _box_region(k, i, eps, M):
             for d in (0, 1)
             if (j, d) != (i, eps)
         )
-    ]
+    )
 
 
+@lru_cache(maxsize=64)
 def _boundary_points(k, M):
     """Grid points on the boundary of [-M, M]^k (all of it when M == 0)."""
-    return [t for t in _grid(M, k) if M == 0 or any(abs(x) == M for x in t)]
+    return tuple(
+        t for t in _grid(M, k) if M == 0 or any(abs(x) == M for x in t)
+    )
 
 
-def _pad(table, M):
-    """Extend a labeling to evaluation with clamping at support M."""
-
-    def val(t):
-        return table[_clamp(t, M)]
-
-    return val
+@lru_cache(maxsize=64)
+def _clamp_map(k, Ms, M):
+    """Each point of [-Ms, Ms]^k -> its clamp into [-M, M]^k, so that
+    table[clamp[t]] extends a labeling of [-M, M]^k by clamping."""
+    return {t: _clamp(t, M) for t in _grid(Ms, k)}
 
 
 class FibrationReport:
@@ -460,19 +540,6 @@ def _cycle_order(X):
     return order if len(order) == n else None
 
 
-def _point_graph(points):
-    index = {t: j for j, t in enumerate(points)}
-    nbrs = [[] for _ in points]
-    for t in points:
-        j = index[t]
-        for axis in range(len(t)):
-            for dlt in (-1, 1):
-                s = t[:axis] + (t[axis] + dlt,) + t[axis + 1:]
-                if s in index:
-                    nbrs[j].append(index[s])
-    return index, nbrs
-
-
 def _cycle_filler(order, points, frozen):
     """Exact extension of a frozen labeling to a cycle, on a simply
     connected point region with unconstrained free points.
@@ -486,8 +553,8 @@ def _cycle_filler(order, points, frozen):
     """
     n = len(order)
     pos = {v: j for j, v in enumerate(order)}
-    points = sorted(points)
-    index, nbrs = _point_graph(points)
+    points = tuple(sorted(points))
+    index, nbrs, _ = _shape(points)
     froz = sorted(frozen)
     if not froz:
         return "labeling", {t: order[0] for t in points}
@@ -515,23 +582,32 @@ def _cycle_filler(order, points, frozen):
                 stack.append(i2)
     if len(heights) != len(frozen_idx):
         return None  # disconnected frozen data: fall back to search
-    # distances from every frozen point; Lipschitz feasibility test
-    dists = {j: _bfs_distances(nbrs, j) for j in heights}
-    hs = sorted(heights)
-    for ai, a in enumerate(hs):
-        da = dists[a]
-        for b in hs[ai + 1:]:
-            if b not in da or abs(heights[a] - heights[b]) > da[b]:
-                return "none", None
-    table = {}
-    for t in points:
-        j = index[t]
-        best = min(
-            (heights[a] + dists[a][j] for a in hs if j in dists[a]),
-            default=None,
-        )
-        table[t] = order[best % n] if best is not None else order[0]
-    return "labeling", table
+    # best[j] = min over frozen a of heights[a] + dist(a, j), by one bucket
+    # BFS settling points in order of that value; the heights are
+    # 1-Lipschitz iff every frozen point keeps its own height
+    srcs = sorted(heights.items(), key=lambda item: item[1])
+    best = [None] * len(points)
+    frontier = []
+    s, level = 0, srcs[0][1]
+    while frontier or s < len(srcs):
+        if not frontier:
+            level = srcs[s][1]
+        while s < len(srcs) and srcs[s][1] == level:
+            frontier.append(srcs[s][0])
+            s += 1
+        nxt = []
+        for j in frontier:
+            if best[j] is None:
+                best[j] = level
+                nxt.extend(nbrs[j])
+        frontier = nxt
+        level += 1
+    if any(best[a] != h for a, h in heights.items()):
+        return "none", None
+    return "labeling", {
+        t: order[b % n] if b is not None else order[0]
+        for t, b in zip(points, best)
+    }
 
 
 def _find_filler(f, k, i, eps, M, slack, u, w, into_boundary, budget):
@@ -539,15 +615,14 @@ def _find_filler(f, k, i, eps, M, slack, u, w, into_boundary, budget):
     X = f.source
     Ms = M + slack
     region = _box_region(k, i, eps, Ms)
-    u_val = _pad(u, M)
-    w_val = _pad(w, M)
-    frozen = {t: u_val(t) for t in region}
+    clamp = _clamp_map(k, Ms, M)
+    frozen = {t: u[clamp[t]] for t in region}
     points = _boundary_points(k, Ms) if into_boundary else _grid(Ms, k)
     fibers = {}
     for y in set(w.values()):
         fibers[y] = {x for x in X.vertices if f.assignment[x] == y}
     allowed = {
-        t: fibers[w_val(t)] for t in points if t not in frozen
+        t: fibers[w[clamp[t]]] for t in points if t not in frozen
     }
     # exact path for cycle-valued problems on simply connected regions
     # (full grids, or cube boundaries of dimension >= 3) with free fibers

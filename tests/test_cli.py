@@ -196,3 +196,31 @@ def test_nerve_stats(files, capsys):
     assert code == 0
     data = json.loads(out)
     assert "cells" in data
+
+
+@pytest.mark.parametrize("argv", [
+    ["sk", "--input", "interval.json", "--n", "3"],
+    ["cosk", "--input", "interval.json", "--n", "3"],
+    ["check-rlp", "--map", "terminal.json", "--n", "1"],
+    ["check-rlp", "--map", "terminal.json", "--set", "I", "--n", "2"],
+])
+def test_level_above_truncation_is_input_error(files, capsys, argv):
+    # interval.json is truncated at 2; J_1' and I_2' have 3-dimensional
+    # members
+    argv = [files.get(a, a) for a in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_explicit_zero_max_steps_is_honoured(files, capsys):
+    code, out = run(
+        ["paths-homotopic", "--graph", files["c5.json"], "--p1", "0,1,2",
+         "--p2", "0,4,3,2", "--max-steps", "0", "--json"], capsys)
+    assert code == 3
+    assert json.loads(out)["verdict"] == "inconclusive"

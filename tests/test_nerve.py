@@ -1,6 +1,8 @@
 """Stable cubes, nerve fragments, and bounded open-box lifting."""
 
 import itertools
+import math
+import random
 
 import pytest
 
@@ -165,6 +167,53 @@ def test_budget_exhaustion_reports_inconclusive():
     f = gr.constant_map(C4, gr.interval(0), 0)
     rep = nv.is_graph_n_fibration_bounded(f, 1, M_max=1, budget=5)
     assert rep.verdict == "inconclusive"
+    # where the budget runs out pins how the search spends it
+    rep = nv.is_graph_n_fibration_bounded(f, 1, M_max=1, budget=5000)
+    assert rep.verdict == "inconclusive"
+    assert rep.detail["tested"] == 8
+
+
+def test_search_order_is_pinned():
+    """The first counterexample and the number of problems tested move
+    with any change to the search order, the random draws or where the
+    budget is spent."""
+    C3, C6 = gr.cycle(3), gr.cycle(6)
+    cover = gr.GraphMap(C6, C3, {v: v % 3 for v in C6.vertices})
+    rep = nv.is_graph_n_fibration_bounded(
+        cover, 1, M_max=1, slack=2, budget=10**7, seed=0, samples=25,
+        sample_dim_from=2)
+    assert rep.verdict == "counterexample"
+    assert rep.detail["member"] == ("box_into_cell", 2, 1, 0)
+    assert rep.detail["tested"] == 110
+    assert rep.detail["u"] == {
+        (-1, -1): 4, (-1, 1): 2, (0, -1): 5, (0, 1): 1, (1, -1): 4,
+        (1, 0): 3, (1, 1): 2,
+    }
+    assert rep.detail["w"] == {
+        (-1, -1): 1, (-1, 0): 0, (-1, 1): 2, (0, -1): 2, (0, 0): 0,
+        (0, 1): 1, (1, -1): 1, (1, 0): 0, (1, 1): 2,
+    }
+    rep = nv.is_graph_n_fibration_bounded(
+        gr.graph_identity(gr.interval(1)), 1, M_max=1, slack=2,
+        budget=10**7, seed=0, samples=25, sample_dim_from=3)
+    assert rep.verdict == "yes_on_tested_range"
+    assert rep.detail["tested"] == 2214
+    # values with the most freedom first, ties in repr order
+    sols = nv._labelings(gr.cycle(4), nv._grid(1, 2), {}, limit=3)
+    assert [tuple(s.values()) for s in sols] == [
+        (0,) * 9, (0,) * 8 + (1,), (0,) * 8 + (3,)]
+
+
+def test_distance_pruning_decides_before_search():
+    # no labeling, and none of the budget spent: an empty domain a decided
+    # point reaches, and two decided points farther apart in the graph
+    # than in the grid
+    I2 = gr.interval(2)
+    points = nv._grid(1, 1)
+    assert nv._labelings(I2, points, {(-1,): 0}, allowed={(1,): set()},
+                         budget=nv.Budget(0)) == []
+    assert nv._labelings(I2, points, {(-1,): 0, (0,): 2},
+                         budget=nv.Budget(0)) == []
 
 
 def test_stable_cube_json_round_trip():
@@ -188,7 +237,7 @@ def test_cycle_filler_agrees_with_exhaustive_search():
             break
         Ms = 2
         region = nv._box_region(2, 1, 0, Ms)
-        frozen = {t: nv._pad(u, 1)(t) for t in region}
+        frozen = {t: u[nv._clamp(t, 1)] for t in region}
         points = nv._grid(Ms, 2)
         verdict, table = nv._cycle_filler(order, points, frozen)
         sols = nv._labelings(C5, points, frozen, budget=nv.Budget(10**7),
@@ -210,3 +259,100 @@ def test_cycle_order_detection():
     assert nv._cycle_order(gr.cycle(5)) is not None
     assert nv._cycle_order(gr.interval(3)) is None
     assert nv._cycle_order(gr.box_product(gr.interval(1), gr.interval(1)))
+
+
+def _oracle_labelings(X, points, frozen, allowed):
+    """Oracle: every labeling of the point set, by raw product search."""
+    points = sorted(points)
+    index = {t: j for j, t in enumerate(points)}
+    edges = []
+    for t in points:
+        for axis in range(len(t)):
+            s = t[:axis] + (t[axis] + 1,) + t[axis + 1:]
+            if s in index:
+                edges.append((index[t], index[s]))
+    domains = [
+        [frozen[t]] if t in frozen
+        else sorted(allowed[t], key=repr) if t in allowed
+        else list(X.vertices)
+        for t in points
+    ]
+    return {
+        combo
+        for combo in itertools.product(*domains)
+        if all(X.adjacent(combo[a], combo[b]) for a, b in edges)
+    }
+
+
+def _small_graphs(rng):
+    I1 = gr.interval(1)
+    out = [gr.interval(0), I1, gr.interval(2), gr.cycle(3), gr.cycle(4),
+           gr.cycle(5), gr.box_product(I1, I1)]
+    for _ in range(4):
+        n = rng.randint(2, 5)
+        pairs = list(itertools.combinations(range(n), 2))
+        # some of these are disconnected
+        out.append(gr.Graph(range(n), rng.sample(pairs, rng.randint(0, n))))
+    return out
+
+
+def _small_point_sets():
+    out = []
+    for M in (0, 1):
+        for k in (0, 1, 2):
+            out.append(nv._grid(M, k))
+            if k:
+                out.append(nv._boundary_points(k, M))
+            for i in range(1, k + 1):
+                for eps in (0, 1):
+                    out.append(nv._box_region(k, i, eps, M))
+    return out
+
+
+def test_labelings_agree_with_product_oracle():
+    """The bitmask search against a brute-force oracle: random graphs of at
+    most 5 vertices, grids, open boxes and boundaries with M <= 1, k <= 2,
+    and random frozen/allowed constraints (tightened until the product of
+    the domain sizes is small enough to enumerate)."""
+    rng = random.Random(2024)
+    cases = 0
+    for X in _small_graphs(rng):
+        verts = list(X.vertices)
+        for points in _small_point_sets():
+            for trial in range(3):
+                frozen, allowed = {}, {}
+                for t in points:
+                    r = rng.random()
+                    if trial and r < 0.2:
+                        frozen[t] = rng.choice(verts)
+                    elif trial and r < 0.4:
+                        allowed[t] = set(
+                            rng.sample(verts, rng.randint(0, len(verts))))
+                free = [t for t in points if t not in frozen]
+                rng.shuffle(free)
+
+                def size(t):
+                    if t in frozen:
+                        return 1
+                    return len(allowed[t]) if t in allowed else len(verts)
+
+                while free and math.prod(map(size, points)) > 20000:
+                    frozen[free.pop()] = rng.choice(verts)
+                want = _oracle_labelings(X, points, frozen, allowed)
+                got = nv._labelings(X, points, frozen, allowed=allowed,
+                                    budget=nv.Budget(10**6))
+                ordered = sorted(points)
+                as_tuples = [tuple(s[t] for t in ordered) for s in got]
+                assert len(as_tuples) == len(set(as_tuples))
+                assert set(as_tuples) == want
+                first = nv._labelings(X, points, frozen, allowed=allowed,
+                                      limit=1, budget=nv.Budget(10**6))
+                assert first == got[:1]
+                drawn = nv._labelings(X, points, frozen, allowed=allowed,
+                                      rng=random.Random(trial), limit=1,
+                                      budget=nv.Budget(10**6))
+                assert len(drawn) == min(1, len(want))
+                for s in drawn:
+                    assert tuple(s[t] for t in ordered) in want
+                cases += 1
+    assert cases > 300
