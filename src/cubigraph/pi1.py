@@ -94,41 +94,114 @@ def _paddings(word, pad_front, pad_back):
     return (word[0],) * pad_front + word + (word[-1],) * pad_back
 
 
-def _step_neighbors(graph, word, max_support):
-    """All trimmed words one homotopy step from the given one.
+def _clamp(i, n):
+    return 0 if i < 0 else n - 1 if i >= n else i
+
+
+def _step_words(graph, word, max_support):
+    """The trimmed words one homotopy step from the given one, ascending.
 
     Two words are one step apart when some endpoint paddings to a common
-    length make them pointwise adjacent; endpoints always stay fixed.
+    length of at most max_support + 1 make them pointwise adjacent;
+    endpoints always stay fixed.  Padding with endpoint repeats reads
+    padded[k] = word[clamp(k - front)], so a trimmed word b of length m is
+    one step from word (length n) exactly when some shift s in
+    [m - top, top - n], top = max_support + 1, has b[clamp(i)] adjacent or
+    equal to word[clamp(i - s)] for every integer i.
+
+    One depth-first search over trimmed prefixes carries the set of shifts
+    still alive as a bitmask (bit k is shift k + 1 - top).  Children are
+    visited in ascending vertex order, so the preorder is ascending tuple
+    order and each neighbour is yielded once, in sorted order.
     """
-    out = set()
+    n, top = len(word), max_support + 1
     x, y = word[0], word[-1]
-    base_len = len(word)
-    for length in range(base_len, max_support + 2):
-        for front in range(length - base_len + 1):
-            padded = _paddings(word, front, length - base_len - front)
-            # build candidates position by position: each entry must be
-            # adjacent to the padded layer (pointwise) and to its
-            # predecessor (a path), with both endpoints pinned
-            stack = [(x,)]
-            while stack:
-                prefix = stack.pop()
-                j = len(prefix)
-                if j == length:
-                    trimmed = _trim(prefix)
-                    if len(trimmed) <= max_support + 1:
-                        out.add(trimmed)
-                    continue
-                if j == length - 1:
-                    cands = [y] if graph.adjacent(prefix[-1], y) else []
-                else:
-                    cands = [
-                        v for v in graph.neighbors(padded[j])
-                        if graph.adjacent(prefix[-1], v)
-                    ]
-                for v in cands:
-                    stack.append(prefix + (v,))
-    out.discard(word)
-    return out
+    span = 2 * top - n  # shifts 1 - top .. top - n
+    close = {v: graph.neighbors(v) for v in set(word)}
+    # front: x must face word[j] for every j < -s; tail[m]: y must face
+    # word[j] for every j >= m - s
+    head_ok = [True]
+    for v in word:
+        head_ok.append(head_ok[-1] and graph.adjacent(x, v))
+    tail_ok = [True]
+    for v in reversed(word):
+        tail_ok.append(tail_ok[-1] and graph.adjacent(y, v))
+    tail_ok.reverse()
+    front = 0
+    tail = [0] * (top + 1)
+    for k in range(span):
+        s = k + 1 - top
+        if head_ok[min(max(-s, 0), n)]:
+            front |= 1 << k
+        for m in range(1, top + 1):
+            if tail_ok[min(max(m - s, 0), n)]:
+                tail[m] |= 1 << k
+    # rows[i][v]: the shifts under which v at position i faces
+    # word[clamp(i - s)], limited to s >= i + 1 - top (a word through
+    # position i has length m >= i + 1)
+    rows = []
+    for i in range(top):
+        by_pos = [0] * n
+        for k in range(i, span):
+            by_pos[_clamp(i - (k + 1 - top), n)] |= 1 << k
+        row = {}
+        for j, bits in enumerate(by_pos):
+            if bits:
+                for v in close[word[j]]:
+                    row[v] = row.get(v, 0) | bits
+        rows.append(row)
+    if top > 1:
+        rows[1].pop(x, None)  # a trimmed word never repeats its start
+    # backward pass: keep only the shifts under which a prefix through v
+    # at position i can still be completed to an admissible word, so the
+    # search below never enters a dead end
+    later = {}
+    for i in range(top - 1, -1, -1):
+        row = {}
+        for v, bits in rows[i].items():
+            reach = later.get(v, 0) | (tail[i + 1] if v == y else 0)
+            for u in graph.adj[v]:
+                reach |= later.get(u, 0)
+            if bits & reach:
+                row[v] = bits & reach
+        rows[i] = later = row
+    ascending = {}
+    stack = [((x,), front & rows[0].get(x, 0))]
+    while stack:
+        prefix, live = stack.pop()
+        m = len(prefix)
+        last = prefix[-1]
+        if (last == y and (m == 1 or prefix[-2] != y)
+                and live & tail[m] and prefix != word):
+            yield prefix
+        if m == top:
+            continue
+        row = rows[m]
+        if last not in ascending:
+            ascending[last] = sorted(graph.neighbors(last), reverse=True)
+        for v in ascending[last]:
+            bits = live & row.get(v, 0)
+            if bits:
+                stack.append((prefix + (v,), bits))
+
+
+def _one_step(graph, a, b, max_support):
+    """Whether the trimmed word b is one homotopy step from the word a.
+
+    The shift rule of _step_words for a single pair: b (length m, same
+    endpoints, a path) is one step from a (length n) when some shift s in
+    [m - top, top - n] has b[clamp(i)] facing a[clamp(i - s)] for all i.
+    """
+    n, m, top = len(a), len(b), max_support + 1
+    if a == b or m > top:
+        return False
+    for s in range(m - top, top - n + 1):
+        if all(
+            graph.adjacent(b[_clamp(i, m)], a[_clamp(i - s, n)])
+            for i in range(min(0, s), max(m, s + n))
+        ):
+            return True
+    return False
 
 
 @dataclass
@@ -165,18 +238,18 @@ def path_homotopic_bounded(p, q, max_support=None, max_steps=20000):
         explored += 1
         if explored > max_steps:
             return HomotopyReport("inconclusive", None, explored)
-        for nxt in sorted(_step_neighbors(graph, cur, max_support)):
-            if nxt in parent:
-                continue
-            parent[nxt] = cur
-            if nxt == q.word:
-                layers = [nxt]
-                while layers[-1] is not None:
-                    layers.append(parent[layers[-1]])
-                layers.pop()
-                layers.reverse()
-                return HomotopyReport("yes", layers, explored)
-            frontier.append(nxt)
+        # q is never in parent, so the scan below would reach it exactly
+        # when it is one step from cur
+        if _one_step(graph, cur, q.word, max_support):
+            layers = [q.word, cur]
+            while parent[layers[-1]] is not None:
+                layers.append(parent[layers[-1]])
+            layers.reverse()
+            return HomotopyReport("yes", layers, explored)
+        for nxt in _step_words(graph, cur, max_support):
+            if nxt not in parent:
+                parent[nxt] = cur
+                frontier.append(nxt)
     return HomotopyReport("no_exhausted", None, explored)
 
 
@@ -339,7 +412,8 @@ def loop_word_trivial(pres, word, max_length=16, max_states=20000):
 
     False when the abelianized image is nonzero; True when free reduction
     (no relators) or bounded relator rewriting reaches the empty word;
-    None otherwise.
+    None otherwise, also as soon as the rewriting would hold more than
+    max_states distinct words.
     """
     word = _free_reduce(word)
     if not word:
@@ -360,12 +434,8 @@ def loop_word_trivial(pres, word, max_length=16, max_states=20000):
             moves.append(tuple((i, -s) for i, s in reversed(cyc)))
     seen = {word}
     frontier = deque([word])
-    states = 0
     while frontier:
         cur = frontier.popleft()
-        states += 1
-        if states > max_states:
-            return None
         for mv in moves:
             # insert a relator at every position, then freely reduce
             for j in range(len(cur) + 1):
@@ -373,26 +443,59 @@ def loop_word_trivial(pres, word, max_length=16, max_states=20000):
                 if not nxt:
                     return True
                 if len(nxt) <= max_length and nxt not in seen:
+                    if len(seen) >= max_states:
+                        return None  # undecided within the state cap
                     seen.add(nxt)
                     frontier.append(nxt)
     return None
 
 
+def _echelon_basis(rows):
+    """A row-echelon basis of the integer lattice spanned by the rows.
+
+    Gcd row operations (each one unimodular) clear every column below its
+    pivot; returns (pivot column, row) pairs with increasing columns, the
+    row zero left of its pivot.
+    """
+    rows = [list(r) for r in rows if any(r)]
+    basis = []
+    col = 0
+    while rows:
+        live = [r for r in rows if r[col]]
+        if not live:
+            col += 1
+            continue
+        rest = [r for r in rows if not r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            pivot = live[0]
+            nxt = [pivot]
+            for r in live[1:]:
+                q = r[col] // pivot[col]
+                r = [a - q * b for a, b in zip(r, pivot)]
+                (nxt if r[col] else rest).append(r)
+            live = nxt
+        basis.append((col, live[0]))
+        rows = [r for r in rest if any(r)]
+        col += 1
+    return basis
+
+
 def _lattice_contains(rows, image):
     """Whether an integer vector lies in the lattice spanned by the rows.
 
-    Compares the canonical Hermite normal form of the lattice with and
-    without the vector adjoined; they agree exactly when the vector adds
-    nothing, i.e. already lies in the lattice.
+    Reduces the vector against the pivots of an echelon basis, column by
+    column; the coefficient of each basis row is forced, so the vector lies
+    in the lattice exactly when every pivot divides and nothing is left.
     """
-    import sympy
-    from sympy.matrices.normalforms import hermite_normal_form
-
-    if not rows:
-        return not any(image)
-    with_rows = sympy.Matrix(rows)
-    stacked = with_rows.col_join(sympy.Matrix([list(image)]))
-    return hermite_normal_form(with_rows.T) == hermite_normal_form(stacked.T)
+    v = list(image)
+    for col, row in _echelon_basis(rows):
+        q, r = divmod(v[col], row[col])
+        if r:
+            return False
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 # --- the functor, the comparison, the isofibration check ---------------
@@ -484,6 +587,9 @@ def _lift_homotopy_square(f, eta, tau_img_lift, H_layers):
     return make_path(X, column)
 
 
+_TAU_TRIES = 16  # draws of tau per fullness sample
+
+
 def psi_comparison(f, g, samples=10, seed=0, max_len=4,
                    max_support=8, max_steps=20000):
     """Bounded check of the pullback-groupoid comparison functor.
@@ -535,11 +641,15 @@ def psi_comparison(f, g, samples=10, seed=0, max_len=4,
         if not ok:
             report["passed"] = False
 
-    # fullness samples
+    # fullness samples: tau is redrawn until its image ends where eta's
+    # does, so that (eta, tau) is a morphism pair of the pullback groupoid
     for _ in range(samples):
         x0, y0 = rng.choice(P.vertices)
         eta = _sample_path(X, x0, rng, max_len)
-        tau = _sample_path(Y, y0, rng, max_len)
+        for _ in range(_TAU_TRIES):
+            tau = _sample_path(Y, y0, rng, max_len)
+            if g.assignment[tau.end] == f.assignment[eta.end]:
+                break
         sample = _fullness_sample(
             f, g, P, eta, tau, max_support, max_steps
         )

@@ -1,6 +1,8 @@
 """Paths, bounded path homotopy, fundamental groupoid presentations, and
 the pullback comparison machinery."""
 
+import random
+
 import pytest
 
 from cubigraph import graphs as gr
@@ -175,12 +177,156 @@ def test_psi_comparison_small_instance():
         assert entry["verdict"] in ("pass", "inconclusive", "skipped")
 
 
-def test_psi_comparison_skips_samples_whose_images_end_apart():
-    # the sampled eta and tau of id I1 end at different vertices; such a
-    # pair is no morphism of the pullback groupoid and is skipped
+def test_psi_comparison_draws_tau_to_end_over_eta():
+    # tau is redrawn until its image ends where eta's does, so every
+    # fullness sample of id I1 is a morphism pair and gets checked
     idI1 = gr.graph_identity(gr.interval(1))
     report = pi1.psi_comparison(idI1, idI1, samples=2, seed=0)
     assert report["passed"] is True
     assert report["pi0"]["verdict"] == "bijection"
-    assert "skipped (images end apart)" in [
-        entry["verdict"] for entry in report["fullness"]]
+    assert [entry["verdict"] for entry in report["fullness"]] == [
+        "pass", "pass"]
+
+
+def test_psi_comparison_skips_samples_whose_images_end_apart():
+    # over the end inclusion pt -> I1 every tau is constant at 0, so an
+    # eta of id I1 that ends at 1 admits no tau, and only it is skipped
+    I1 = gr.interval(1)
+    f = gr.graph_identity(I1)
+    g = gr.GraphMap(gr.interval(0), I1, {0: 0})
+    report = pi1.psi_comparison(f, g, samples=3, seed=0)
+    verdicts = {
+        entry["eta"]: entry["verdict"] for entry in report["fullness"]}
+    assert verdicts == {(0, 1, 0): "pass",
+                        (0, 1): "skipped (images end apart)"}
+
+
+def _step_neighbors(graph, word, max_support):
+    """Reference step relation: every common padded length and front
+    padding separately, then trimming.  _step_words must agree."""
+    out = set()
+    x, y = word[0], word[-1]
+    base_len = len(word)
+    for length in range(base_len, max_support + 2):
+        for front in range(length - base_len + 1):
+            padded = pi1._paddings(word, front, length - base_len - front)
+            stack = [(x,)]
+            while stack:
+                prefix = stack.pop()
+                j = len(prefix)
+                if j == length:
+                    trimmed = pi1._trim(prefix)
+                    if len(trimmed) <= max_support + 1:
+                        out.add(trimmed)
+                    continue
+                if j == length - 1:
+                    cands = [y] if graph.adjacent(prefix[-1], y) else []
+                else:
+                    cands = [
+                        v for v in graph.neighbors(padded[j])
+                        if graph.adjacent(prefix[-1], v)
+                    ]
+                for v in cands:
+                    stack.append(prefix + (v,))
+    out.discard(word)
+    return out
+
+
+def _random_walk(rng, graph, start, steps):
+    word = [start]
+    for _ in range(steps):
+        word.append(rng.choice(graph.neighbors(word[-1])))
+    return word
+
+
+def test_step_words_agree_with_padding_oracle():
+    rng = random.Random(4)
+    I1 = gr.interval(1)
+    graphs = [gr.cycle(n) for n in (3, 4, 5, 6)]
+    graphs += [gr.box_product(I1, I1), gr.box_product(gr.cycle(5), I1)]
+    for _ in range(24):
+        n = rng.randint(1, 6)
+        graphs.append(gr.Graph(range(n), [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < 0.4
+        ]))
+    for G in graphs:
+        for _ in range(8):
+            word = pi1._trim(_random_walk(
+                rng, G, rng.choice(G.vertices), rng.randint(0, 5)))
+            support = len(word) - 1 + rng.randint(0, 3)
+            oracle = _step_neighbors(G, word, support)
+            assert list(pi1._step_words(G, word, support)) == sorted(oracle)
+            # one-step test on the neighbours and on other paths between
+            # the same endpoints, step neighbours or not
+            others = {word}
+            for _ in range(12):
+                walk = _random_walk(rng, G, word[0], rng.randint(0, support))
+                if walk[-1] == word[-1] and len(pi1._trim(walk)) <= support + 1:
+                    others.add(pi1._trim(walk))
+            for b in sorted(oracle | others):
+                assert pi1._one_step(G, word, b, support) == (b in oracle)
+
+
+def test_homotopy_search_is_pinned():
+    # explored counts and layers of the breadth-first search, as the
+    # eager per-padding enumeration found them
+    C5 = gr.cycle(5)
+    half = pi1.make_path(C5, (0, 1, 2))
+    other = pi1.make_path(C5, (0, 4, 3, 2))
+    for support, explored in ((9, 1520), (8, 518)):
+        rep = pi1.path_homotopic_bounded(half, other, support, 50000)
+        assert (rep.verdict, rep.explored) == ("no_exhausted", explored)
+    out_back = pi1.make_path(C5, (0, 1, 2, 3, 2, 1, 0))
+    rep = pi1.path_homotopic_bounded(
+        out_back, pi1.constant_path(C5, 0), 9, 50000)
+    assert (rep.verdict, rep.explored) == ("yes", 443)
+    assert rep.layers == [
+        (0, 1, 2, 3, 2, 1, 0), (0, 1, 0, 0, 0, 1, 2, 1, 0), (0, 1, 0), (0,)]
+
+
+def _hnf_contains(rows, image):
+    import sympy
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    if not rows:
+        return not any(image)
+    with_rows = sympy.Matrix(rows)
+    stacked = with_rows.col_join(sympy.Matrix([list(image)]))
+    return hermite_normal_form(with_rows.T) == hermite_normal_form(stacked.T)
+
+
+def test_lattice_contains_agrees_with_hermite_normal_form():
+    rng = random.Random(11)
+    for _ in range(120):
+        r, c = rng.randint(0, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
+        if rows and rng.random() < 0.5:
+            # an image in the lattice, half of the time
+            image = [0] * c
+            for row in rows:
+                k = rng.randint(-3, 3)
+                image = [a + k * b for a, b in zip(image, row)]
+        else:
+            image = [rng.randint(-6, 6) for _ in range(c)]
+        assert pi1._lattice_contains(rows, image) == _hnf_contains(
+            rows, image), (rows, image)
+
+
+def test_loop_word_trivial_gives_up_within_the_state_cap():
+    # the commutator of the two coordinate loops of C5 x C5 is trivial,
+    # but the bounded rewriting does not find that; it must stop at
+    # max_states admitted words instead of growing without bound
+    C5 = gr.cycle(5)
+    f = gr.constant_map(C5, gr.interval(0), 0)
+    P, _, _ = gr.pullback(f, f)
+    pres = pi1.a1_presentation(P, P.vertices[0])
+    ring = [(i % 5, 0) for i in range(6)]
+    a = pi1.walk_to_word(pres, ring)
+    b = pi1.walk_to_word(pres, [(v, u) for u, v in ring])
+
+    def inv(w):
+        return tuple((i, -s) for i, s in reversed(w))
+
+    assert pi1.loop_word_trivial(pres, a + b + inv(a) + inv(b)) is None
+    assert pi1.loop_word_trivial(pres, a) is False
