@@ -9,8 +9,8 @@ from __future__ import annotations
 from collections import deque
 
 from .presheaf import (
-    FinitePresheaf,
     PresheafMap,
+    _open_cell_indices,
     build_standard,
     enumerate_maps,
     identity_map,
@@ -20,15 +20,9 @@ from .product import cylinder
 
 
 def empty_presheaf(site_name, trunc_dim):
-    ops_cells = {d: () for d in range(trunc_dim + 1)}
-    from . import site as st
-
-    action = {}
-    ops = st.site_ops(site_name)
-    for d in range(trunc_dim + 1):
-        for key, g in ops.generators(d, trunc_dim):
-            action[(key, d)] = {}
-    return FinitePresheaf(site_name, trunc_dim, ops_cells, action)
+    """The empty presheaf: the boundary of the standard 0-cell."""
+    kind, _ = _MEMBER_KINDS[site_name]["boundary_into_cell"]
+    return build_standard(kind, 0, trunc_dim=trunc_dim).realized
 
 
 def terminal_map(X):
@@ -158,41 +152,44 @@ class GeneratingSet:
         return " ".join(bits)
 
 
+# per site: member shape -> (kind of the standard cell it includes, kind of
+# the cell it includes into; None for the whole standard cell)
+_MEMBER_KINDS = {
+    "cubical": {
+        "boundary_into_cell": ("boundary_cube", None),
+        "box_into_cell": ("open_box", None),
+        "box_into_boundary": ("open_box", "boundary_cube"),
+    },
+    "simplicial": {
+        "boundary_into_cell": ("boundary_simplex", None),
+        "horn_into_cell": ("horn", None),
+        "horn_into_boundary": ("horn", "boundary_simplex"),
+    },
+}
+
+
 def _realize_member(site_name, spec, D):
-    shape, k = spec["shape"], spec["k"]
-    i, eps = spec.get("i"), spec.get("eps")
-    if site_name == "cubical":
-        if shape == "boundary_into_cell":
-            if k == 0:
-                cell = build_standard("cube", 0, trunc_dim=D)
-                return inclusion_of_subset(empty_presheaf("cubical", D), cell.realized)
-            bd = build_standard("boundary_cube", k, trunc_dim=D)
-            return bd.inclusion
-        if shape == "box_into_cell":
-            return build_standard("open_box", k, i, eps, trunc_dim=D).inclusion
-        if shape == "box_into_boundary":
-            box = build_standard("open_box", k, i, eps, trunc_dim=D)
-            bd = build_standard("boundary_cube", k, trunc_dim=D)
-            return inclusion_of_subset(box.realized, bd.realized)
-    else:
-        if shape == "boundary_into_cell":
-            if k == 0:
-                cell = build_standard("simplex", 0, trunc_dim=D)
-                return inclusion_of_subset(
-                    empty_presheaf("simplicial", D), cell.realized
-                )
-            return build_standard("boundary_simplex", k, trunc_dim=D).inclusion
-        if shape == "horn_into_cell":
-            return build_standard("horn", k, i, trunc_dim=D).inclusion
-        if shape == "horn_into_boundary":
-            horn = build_standard("horn", k, i, trunc_dim=D)
-            bd = build_standard("boundary_simplex", k, trunc_dim=D)
-            return inclusion_of_subset(horn.realized, bd.realized)
-    raise ValueError(f"unknown member shape {shape!r}")
+    kinds = _MEMBER_KINDS[site_name].get(spec["shape"])
+    if kinds is None:
+        raise ValueError(f"unknown member shape {spec['shape']!r}")
+    kind, into = kinds
+    k = spec["k"]
+    cell = build_standard(kind, k, spec.get("i"), spec.get("eps"), trunc_dim=D)
+    if into is None:
+        return cell.inclusion
+    return inclusion_of_subset(
+        cell.realized, build_standard(into, k, trunc_dim=D).realized
+    )
 
 
-def _box_indices(k):
-    return [(i, eps) for i in range(1, k + 1) for eps in (0, 1)]
+# generating set name -> (site, family)
+_GENERATING_SETS = {
+    "J_n_prime_cubical": ("cubical", "J"),
+    "I_n_prime_cubical": ("cubical", "I"),
+    "J_n_prime_simplicial": ("simplicial", "J"),
+    "I_n_prime_simplicial": ("simplicial", "I"),
+    "J_cubical_bounded": ("cubical", "J_bounded"),
+}
 
 
 def generating_set(name, n):
@@ -200,39 +197,32 @@ def generating_set(name, n):
 
     J_n' (cubical): open boxes into cubes for 0 < k <= n+1 plus all open
     boxes of dimension n+2 into the boundary; I_n': boundaries into cubes
-    for 0 <= k <= n+1.  Simplicial mirrors use horns.
+    for 0 <= k <= n+1 (the k = 0 boundary is empty).  Simplicial mirrors
+    use horns.  J_cubical_bounded: open boxes into cubes for 0 < k <= n.
     """
-    specs = []
-    if name == "J_n_prime_cubical":
-        for k in range(1, n + 2):
-            for i, eps in _box_indices(k):
-                specs.append({"shape": "box_into_cell", "k": k, "i": i, "eps": eps})
-        for i, eps in _box_indices(n + 2):
-            specs.append(
-                {"shape": "box_into_boundary", "k": n + 2, "i": i, "eps": eps}
-            )
-        return GeneratingSet(name, n, "cubical", specs)
-    if name == "I_n_prime_cubical":
-        for k in range(0, n + 2):
-            specs.append({"shape": "boundary_into_cell", "k": k})
-        return GeneratingSet(name, n, "cubical", specs)
-    if name == "J_n_prime_simplicial":
-        for k in range(1, n + 2):
-            for i in range(k + 1):
-                specs.append({"shape": "horn_into_cell", "k": k, "i": i})
-        for i in range(n + 3):
-            specs.append({"shape": "horn_into_boundary", "k": n + 2, "i": i})
-        return GeneratingSet(name, n, "simplicial", specs)
-    if name == "I_n_prime_simplicial":
-        for k in range(0, n + 2):
-            specs.append({"shape": "boundary_into_cell", "k": k})
-        return GeneratingSet(name, n, "simplicial", specs)
-    if name == "J_cubical_bounded":
-        for k in range(1, n + 1):
-            for i, eps in _box_indices(k):
-                specs.append({"shape": "box_into_cell", "k": k, "i": i, "eps": eps})
-        return GeneratingSet(name, n, "cubical", specs)
-    raise ValueError(f"unknown generating set {name!r}")
+    if name not in _GENERATING_SETS:
+        raise ValueError(f"unknown generating set {name!r}")
+    site_name, family = _GENERATING_SETS[name]
+    if family == "I":
+        specs = [_spec("boundary_into_cell", k) for k in range(n + 2)]
+        return GeneratingSet(name, n, site_name, specs)
+    opener = "box" if site_name == "cubical" else "horn"
+    top = n if family == "J_bounded" else n + 1
+    specs = [
+        _spec(f"{opener}_into_cell", k, i, eps)
+        for k in range(1, top + 1)
+        for i, eps in _open_cell_indices(site_name, k)
+    ]
+    if family == "J":
+        specs += [
+            _spec(f"{opener}_into_boundary", n + 2, i, eps)
+            for i, eps in _open_cell_indices(site_name, n + 2)
+        ]
+    return GeneratingSet(name, n, site_name, specs)
+
+
+def _spec(shape, k, i=None, eps=None):
+    return {"shape": shape, "k": k, "i": i, "eps": eps}
 
 
 def is_kan_fibration_bounded(f, kmax):

@@ -155,8 +155,7 @@ def nerve_operator(c, m):
     if m.target_dim != c.dim:
         raise ValueError("dimension mismatch")
     cur = c
-    for g in st.cube_factor(m):
-        key, _ = st.CUBICAL.generator_key(g)
+    for (key, _), _ in st.CUBICAL.factor_keys(m):
         cur = _apply_generator(cur, key)
     return cur
 
@@ -652,20 +651,17 @@ def is_graph_n_fibration_bounded(
     seeded random problems each.  Returns a FibrationReport with verdict
     yes_on_tested_range, counterexample, or inconclusive (budget exhausted).
     """
+    # imported here: lifting pulls in product, which importing the nerve
+    # does not otherwise pay for
+    from .lifting import generating_set
 
-    members = []
-    for k in range(1, n + 2):
-        for i in range(1, k + 1):
-            for eps in (0, 1):
-                members.append((k, i, eps, False))
-    for i in range(1, n + 3):
-        for eps in (0, 1):
-            members.append((n + 2, i, eps, True))
     tested = 0
     sampled = False
     shared = Budget(budget)
     try:
-        for k, i, eps, into_bd in members:
+        for spec in generating_set("J_n_prime_cubical", n).member_specs:
+            shape, k, i, eps = spec["shape"], spec["k"], spec["i"], spec["eps"]
+            into_bd = shape == "box_into_boundary"
             rng = random.Random(seed) if k >= sample_dim_from else None
             if rng is not None:
                 sampled = True
@@ -680,8 +676,7 @@ def is_graph_n_fibration_bounded(
                     return FibrationReport(
                         "counterexample",
                         {
-                            "member": ("box_into_boundary" if into_bd
-                                       else "box_into_cell", k, i, eps),
+                            "member": (shape, k, i, eps),
                             "support": M_max,
                             "filler_support_cap": M_max + slack,
                             "u": u,

@@ -344,8 +344,41 @@ def _cube_const_slots(c):
     return {(i + 1, t[1]) for i, t in enumerate(c.coords) if t[0] == "c"}
 
 
-def _simplex_image(c):
-    return set(c.values)
+# per site: the kinds of its whole cells, boundaries and open boxes/horns
+_SITE_KINDS = {
+    "cubical": ("cube", "boundary_cube", "open_box"),
+    "simplicial": ("simplex", "boundary_simplex", "horn"),
+}
+
+
+def _open_cell_indices(site_name, k):
+    """The (i, eps) of the open boxes (cubical) or horns (simplicial, eps
+    None) of dimension k >= 1."""
+    if site_name == "cubical":
+        return [(i, eps) for i in range(1, k + 1) for eps in (0, 1)]
+    return [(i, None) for i in range(k + 1)]
+
+
+def _standard_keep(kind, k, i=None, eps=None):
+    """Predicate on the site morphisms into the standard k-cell: those that
+    the standard cell of this kind keeps.  A boundary of dimension 0 keeps
+    none, so it is the empty cell."""
+    if kind in ("cube", "simplex"):
+        return lambda c: True
+    if kind == "boundary_cube":
+        return lambda c: bool(_cube_const_slots(c))
+    if kind == "boundary_simplex":
+        return lambda c: len(set(c.values)) <= k
+    if kind == "open_box":
+        if i not in range(1, k + 1) or eps not in (0, 1):
+            raise ValueError("invalid open box parameters")
+        return lambda c: bool(_cube_const_slots(c) - {(i, eps)})
+    if kind == "horn":
+        if k < 1 or i not in range(k + 1):
+            raise ValueError("invalid horn parameters")
+        others = set(range(k + 1)) - {i}
+        return lambda c: bool(others - set(c.values))
+    raise ValueError(f"unknown standard cell kind {kind!r}")
 
 
 class StandardCell:
@@ -366,35 +399,10 @@ def build_standard(kind, k, i=None, eps=None, trunc_dim=None):
         trunc_dim = k
     if k < 0 or trunc_dim < 0:
         raise ValueError("negative dimension")
-    if kind in ("cube", "boundary_cube", "open_box"):
-        amb = representable("cubical", k, trunc_dim)
-        if kind == "cube":
-            keep = lambda d, c: True
-        elif kind == "boundary_cube":
-            if k < 1:
-                raise ValueError("boundary needs k >= 1")
-            keep = lambda d, c: len(_cube_const_slots(c)) >= 1
-        else:
-            if not (k >= 1 and 1 <= i <= k and eps in (0, 1)):
-                raise ValueError("invalid open box parameters")
-            keep = lambda d, c: bool(_cube_const_slots(c) - {(i, eps)})
-    elif kind in ("simplex", "boundary_simplex", "horn"):
-        amb = representable("simplicial", k, trunc_dim)
-        if kind == "simplex":
-            keep = lambda d, c: True
-        elif kind == "boundary_simplex":
-            if k < 1:
-                raise ValueError("boundary needs k >= 1")
-            keep = lambda d, c: _simplex_image(c) != set(range(k + 1))
-        else:
-            if not (k >= 1 and 0 <= i <= k):
-                raise ValueError("invalid horn parameters")
-            keep = lambda d, c: bool(
-                set(range(k + 1)) - {i} - _simplex_image(c)
-            )
-    else:
-        raise ValueError(f"unknown standard cell kind {kind!r}")
-    realized, incl = subpresheaf(amb, keep)
+    keep = _standard_keep(kind, k, i, eps)
+    site_name = "cubical" if kind in _SITE_KINDS["cubical"] else "simplicial"
+    amb = representable(site_name, k, trunc_dim)
+    realized, incl = subpresheaf(amb, lambda d, c: keep(c))
     return StandardCell(kind, k, i, eps, realized, amb, incl)
 
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import site as st
-from .lifting import _box_indices
 from .presheaf import (
+    _SITE_KINDS,
     FinitePresheaf,
     PresheafMap,
-    _cube_const_slots,
     _cube_nonconst,
+    _open_cell_indices,
+    _standard_keep,
     enumerate_maps,
     representable,
     subpresheaf,
@@ -148,34 +149,25 @@ def _simplex_root_dim(c):
     return len(set(c.values)) - 1
 
 
-def _standard_sets(site_name, k, dims):
-    """Cell sets of the ambient standard object per dimension."""
-    ops = st.site_ops(site_name)
-    return {j: set(ops.all_morphisms(j, k)) for j in dims}
-
-
 def _sk(site_name, m, sets):
     rd = _cube_nonconst if site_name == "cubical" else _simplex_root_dim
     return {j: {c for c in cs if rd(c) <= m} for j, cs in sets.items()}
 
 
+def _kept(sets, keep):
+    return {j: {c for c in cs if keep(c)} for j, cs in sets.items()}
+
+
 def verify_skeletal_identities(site_name, n, k_max):
     """Check the sk_{n+1} identities on boundary and horn/open-box
     inclusions for all k <= k_max; returns a list of case reports."""
+    _, boundary, open_kind = _SITE_KINDS[site_name]
+    ops = st.site_ops(site_name)
+    m = n + 1
     cases = []
     for k in range(1, k_max + 1):
-        dims = range(k + 1)
-        full = _standard_sets(site_name, k, dims)
-        if site_name == "cubical":
-            bd = {
-                j: {c for c in full[j] if _cube_const_slots(c)} for j in dims
-            }
-        else:
-            bd = {
-                j: {c for c in full[j] if set(c.values) != set(range(k + 1))}
-                for j in dims
-            }
-        m = n + 1
+        full = {j: set(ops.all_morphisms(j, k)) for j in range(k + 1)}
+        bd = _kept(full, _standard_keep(boundary, k))
         skf, skb = _sk(site_name, m, full), _sk(site_name, m, bd)
         if k <= n + 1:
             ok = skb == bd and skf == full
@@ -187,22 +179,8 @@ def verify_skeletal_identities(site_name, n, k_max):
             {"kind": "boundary", "k": k, "i": None, "eps": None,
              "expected": expect, "ok": ok}
         )
-        for i, eps in _horn_indices(site_name, k):
-            if site_name == "cubical":
-                box = {
-                    j: {c for c in full[j]
-                        if _cube_const_slots(c) - {(i, eps)}}
-                    for j in dims
-                }
-            else:
-                box = {
-                    j: {
-                        c
-                        for c in full[j]
-                        if set(range(k + 1)) - {i} - set(c.values)
-                    }
-                    for j in dims
-                }
+        for i, eps in _open_cell_indices(site_name, k):
+            box = _kept(full, _standard_keep(open_kind, k, i, eps))
             skx = _sk(site_name, m, box)
             if k <= n + 1:
                 ok = skx == box and skf == full
@@ -214,13 +192,7 @@ def verify_skeletal_identities(site_name, n, k_max):
                 ok = skx == skf
                 expect = "identity"
             cases.append(
-                {"kind": "open_box" if site_name == "cubical" else "horn",
-                 "k": k, "i": i, "eps": eps, "expected": expect, "ok": ok}
+                {"kind": open_kind, "k": k, "i": i, "eps": eps,
+                 "expected": expect, "ok": ok}
             )
     return cases
-
-
-def _horn_indices(site_name, k):
-    if site_name == "cubical":
-        return _box_indices(k)
-    return [(i, None) for i in range(k + 1)]

@@ -7,6 +7,7 @@ import pytest
 
 from cubigraph import lifting as lf
 from cubigraph import presheaf as ps
+from cubigraph import site as st
 
 
 def _solve_naive(problem):
@@ -108,6 +109,28 @@ def test_generating_set_members_realize():
     for name, incl in J.realize(2):
         assert incl.is_valid()
         assert isinstance(name, str)
+
+
+@pytest.mark.parametrize("site", ["cubical", "simplicial"])
+def test_boundary_of_the_point_is_empty(site):
+    cell, boundary, _ = ps._SITE_KINDS[site]
+    for D in (1, 3):
+        # the empty presheaf, with an empty action table per generator
+        ops = st.site_ops(site)
+        empty = ps.FinitePresheaf(site, D, {}, {
+            (key, d): {} for d in range(D + 1)
+            for key, _ in ops.generators(d, D)
+        })
+        bd = ps.build_standard(boundary, 0, trunc_dim=D).realized
+        assert bd.cells == empty.cells == {d: () for d in range(D + 1)}
+        assert bd.action == empty.action
+        assert lf.empty_presheaf(site, D).action == empty.action
+        point = ps.build_standard(cell, 0, trunc_dim=D).realized
+        expected = ps.map_to_json(lf.inclusion_of_subset(empty, point))
+        for n in range(D):
+            name, incl = lf.generating_set(f"I_n_prime_{site}", n).realize(D)[0]
+            assert name == "boundary_into_cell k=0"
+            assert ps.map_to_json(incl) == expected
 
 
 def test_point_to_interval_is_not_fibration():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cubigraph import presheaf as ps
+from cubigraph import site as st
 from cubigraph import skeleta as sk
 
 
@@ -13,6 +14,32 @@ from cubigraph import skeleta as sk
 def test_skeletal_identities(site, n):
     for row in sk.verify_skeletal_identities(site, n, n + 3):
         assert row["ok"], row
+
+
+@pytest.mark.parametrize("site", ["cubical", "simplicial"])
+def test_set_level_skeleton_agrees_with_skeleton(site):
+    """verify_skeletal_identities takes sk_m of a standard cell's morphism
+    sets by root dimension (_cube_nonconst, _simplex_root_dim); skeleton()
+    and FinitePresheaf.root are the oracle."""
+    cell, boundary, open_kind = ps._SITE_KINDS[site]
+    ops = st.site_ops(site)
+    D = 3
+    for k in range(D + 1):
+        params = [(cell, None, None), (boundary, None, None)]
+        if k >= 1:
+            params += [(open_kind, i, eps)
+                       for i, eps in ps._open_cell_indices(site, k)]
+        for kind, i, eps in params:
+            keep = ps._standard_keep(kind, k, i, eps)
+            sets = {j: {c for c in ops.all_morphisms(j, k) if keep(c)}
+                    for j in range(D + 1)}
+            X = ps.build_standard(kind, k, i, eps, trunc_dim=D).realized
+            assert sets == {j: set(X.cells[j]) for j in X.dims()}
+            for m in range(3):
+                S, _ = sk.skeleton(X, m)
+                assert sk._sk(site, m, sets) == {
+                    j: set(S.cells[j]) for j in S.dims()
+                }, (kind, k, i, eps, m)
 
 
 def test_skeleton_of_square():
