@@ -20,6 +20,7 @@ backtracking enumerator exploits.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from . import site as st
 
@@ -37,9 +38,7 @@ class FinitePresheaf:
             d: {c: i for i, c in enumerate(self.cells[d])}
             for d in range(trunc_dim + 1)
         }
-        self._roots = {}
-        self._nondeg = None
-        self._act_memo = {}
+        self._view = None
 
     # -- basic access -------------------------------------------------------
 
@@ -61,51 +60,27 @@ class FinitePresheaf:
     def generators_at(self, k):
         return self.ops.generators(k, self.trunc_dim)
 
+    def _compiled(self):
+        if self._view is None:
+            self._view = _Compiled(self)
+        return self._view
+
     def act(self, cell, dim, f):
         """Apply the site morphism f (with f.target_dim == dim) to a cell."""
-        memo_key = (cell, f)
-        memo = self._act_memo
-        if memo_key in memo:
-            return memo[memo_key]
-        cur = cell
-        for (key, d), _ in self.ops.factor_keys(f):
-            cur = self.action[(key, d)][cur]
-        memo[memo_key] = cur
-        return cur
+        table = self._compiled().morphism_table(f)
+        if table is None:
+            return cell
+        return self.cells[f.source_dim][table[self._index[dim][cell]]]
 
     # -- root decomposition ---------------------------------------------------
 
     def root(self, cell, dim):
         """Return (root_cell, root_dim, epi) with cell = root . epi."""
-        memo = self._roots
-        if (dim, cell) in memo:
-            return memo[(dim, cell)]
-        result = None
-        if dim > 0:
-            for key, g in self.generators_at(dim - 1):
-                if key[0] == "face":
-                    continue
-                table = self.action[(key, dim - 1)]
-                for y in self.cells[dim - 1]:
-                    if table[y] == cell:
-                        r, rd, e = self.root(y, dim - 1)
-                        result = (r, rd, self.ops.compose(e, g))
-                        break
-                if result:
-                    break
-        if result is None:
-            result = (cell, dim, self.ops.identity(dim))
-        memo[(dim, cell)] = result
-        return result
+        r, rd, e = self._compiled().roots[dim][self._index[dim][cell]]
+        return self.cells[rd][r], rd, e
 
     def nondeg(self, dim):
-        if self._nondeg is None:
-            self._nondeg = {}
-            for d in self.dims():
-                self._nondeg[d] = tuple(
-                    c for c in self.cells[d] if self.root(c, d)[0:2] == (c, d)
-                )
-        return self._nondeg[dim]
+        return self._compiled().nondeg[dim]
 
     def total_nondeg(self):
         return sum(len(self.nondeg(d)) for d in self.dims())
@@ -184,6 +159,85 @@ def _gen_target_dim(key, from_dim):
     if key[0] == "face":
         return from_dim - 1
     return from_dim + 1
+
+
+class _Compiled:
+    """Integer tables of a presheaf X, built on its first act, root, nondeg
+    or map search.  Cell i of dimension d is X.cells[d][i].
+
+    tables:      (key, d) -> list: the generator action on cell indices
+    roots:       d -> list of (root index, root dim, epi), found in one pass
+                 with generators outer in generators_at order and source
+                 cells inner, first hit winning (cell = root . epi)
+    nondeg:      d -> the nondegenerate cells; nondeg_mask[d] their indices
+                 as a bitmask
+    preimages(): built on the first search into X: (face key, d) -> list,
+                 face image index -> bitmask of the d-cells with that face
+    """
+
+    def __init__(self, X):
+        ops, index = X.ops, X._index
+        self.ops = ops
+        self.sizes = [len(X.cells[d]) for d in X.dims()]
+        self.tables = {}
+        self.roots = {}
+        self.nondeg = {}
+        self.nondeg_mask = {}
+        gens_below = ()
+        for d in X.dims():
+            found = [None] * self.sizes[d]
+            for key, g in gens_below:
+                if key[0] == "face":
+                    continue
+                below = self.roots[d - 1]
+                for y, t in enumerate(self.tables[(key, d - 1)]):
+                    if found[t] is None:
+                        r, rd, e = below[y]
+                        found[t] = (r, rd, ops.compose(e, g))
+            ident = ops.identity(d)
+            mask = 0
+            for i, root in enumerate(found):
+                if root is None:
+                    found[i] = (i, d, ident)
+                    mask |= 1 << i
+            self.roots[d] = found
+            self.nondeg_mask[d] = mask
+            self.nondeg[d] = tuple(
+                c for c, root in zip(X.cells[d], found) if root[1] == d
+            )
+            gens_below = X.generators_at(d)
+            for key, g in gens_below:
+                tgt = index[g.source_dim]
+                table = X.action[(key, d)]
+                self.tables[(key, d)] = [tgt[table[c]] for c in X.cells[d]]
+        self._morphisms = {}
+        self._preimages = None
+
+    def morphism_table(self, f):
+        """The action of the site morphism f as one index list, built on
+        first use; None when f is an identity."""
+        try:
+            return self._morphisms[f]
+        except KeyError:
+            pass
+        table = None
+        for key_d, _ in self.ops.factor_keys(f):
+            step = self.tables[key_d]
+            table = step if table is None else [step[j] for j in table]
+        self._morphisms[f] = table
+        return table
+
+    def preimages(self):
+        if self._preimages is None:
+            self._preimages = {}
+            for (key, d), table in self.tables.items():
+                if key[0] != "face":
+                    continue
+                masks = [0] * self.sizes[d - 1]
+                for i, t in enumerate(table):
+                    masks[t] |= 1 << i
+                self._preimages[(key, d)] = masks
+        return self._preimages
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +358,17 @@ def identity_map(X):
 
 
 def representable(site_name, k, trunc_dim):
-    """The standard k-cube/k-simplex; cell ids are site morphisms into it."""
+    """The standard k-cube/k-simplex; cell ids are site morphisms into it.
+
+    One object per (site, k, trunc_dim), shared by every caller, so its
+    compiled tables are built once."""
+    return _representable(site_name, k, trunc_dim)
+
+
+# the cache sits on a private function so that representable stays a plain
+# function, which perfbench's tracer wraps and counts like every public one
+@lru_cache(maxsize=128)
+def _representable(site_name, k, trunc_dim):
     ops = st.site_ops(site_name)
     cells = {d: tuple(ops.all_morphisms(d, k)) for d in range(trunc_dim + 1)}
     action = {}
@@ -483,12 +547,7 @@ def quotient(X, pairs):
     }
     cells = {}
     for d in X.dims():
-        seen = []
-        for c in X.cells[d]:
-            r = rep[(d, c)]
-            if r not in seen:
-                seen.append(r)
-        cells[d] = tuple(seen)
+        cells[d] = tuple(dict.fromkeys(rep[(d, c)] for c in X.cells[d]))
     action = {}
     for d in X.dims():
         for key, g in X.generators_at(d):
@@ -533,21 +592,6 @@ def random_presheaf(site_name, trunc_dim, rng, max_nondeg=40):
 # map enumeration
 
 
-def _face_keys(A, dim):
-    return [(key, g) for key, g in A.generators_at(dim) if key[0] == "face"]
-
-
-def _image_of(A, X, assign, cell, dim):
-    """Image of an arbitrary A-cell given images of nondegenerate roots."""
-    r, rd, e = A.root(cell, dim)
-    img_root = assign.get((rd, r))
-    if img_root is None:
-        return None
-    if e.is_identity():
-        return img_root
-    return X.act(img_root, rd, e)
-
-
 def enumerate_maps(A, X, forced=None, injective_nondeg=False, limit=None,
                    cand_filter=None):
     """All presheaf maps A -> X by backtracking over nondegenerate cells.
@@ -559,84 +603,112 @@ def enumerate_maps(A, X, forced=None, injective_nondeg=False, limit=None,
     cand_filter: optional predicate (dim, source_cell, candidate) pruning the
     image choices of non-forced nondegenerate cells (a search hint only;
     callers needing it as a guarantee must re-check the returned maps).
+
+    The search runs on cell indices (see _Compiled).  The candidates for a
+    nondegenerate cell are the cells of X whose faces match the images of
+    its faces: the AND of the face-preimage bitmasks, taken lowest bit
+    first, which is stored order.  Every assembled map is checked for
+    naturality and for the forced values before it is returned.
     """
     if A.site != X.site or A.trunc_dim != X.trunc_dim:
         raise ValueError("shape mismatch")
-    forced = forced or {}
-    targets = [
-        (d, c) for d in A.dims() for c in A.nondeg(d)
+    VA, VX = A._compiled(), X._compiled()
+    preimages = VX.preimages()
+    dims = A.dims()
+    forced_at = []  # (dim, A index, X index)
+    for (d, c), v in (forced or {}).items():
+        x = X._index[d].get(v)
+        if x is None:  # no map reaches a value that is not a cell of X
+            return []
+        forced_at.append((d, A._index[d][c], x))
+
+    # the nondegenerate cells of A in search order, and per cell of A its
+    # image as (search position of its root, X table of its epi or None)
+    position = {}
+    assemble = []
+    for d in dims:
+        row = []
+        for i, (r, rd, e) in enumerate(VA.roots[d]):
+            if rd == d:
+                position[(d, i)] = len(position)
+                row.append((position[(d, i)], None))
+            else:
+                row.append((position[(rd, r)], VX.morphism_table(e)))
+        assemble.append(row)
+    fixed = {
+        position[(d, i)]: x for d, i, x in forced_at if (d, i) in position
+    }
+    plan = [
+        (d, A.cells[d][i], fixed.get(t), [
+            (preimages[(key, d)],) + assemble[d - 1][VA.tables[(key, d)][i]]
+            for key, _ in A.generators_at(d)
+            if key[0] == "face"
+        ])
+        for (d, i), t in position.items()
     ]
-    forced_nondeg = {}
-    for (d, c), v in forced.items():
-        r, rd, e = A.root(c, d)
-        if e.is_identity():
-            forced_nondeg[(rd, r)] = v
+    pool = [
+        VX.nondeg_mask[d] if injective_nondeg else (1 << VX.sizes[d]) - 1
+        for d in dims
+    ]
+    checks = [
+        (k, g.source_dim, VA.tables[(key, k)], VX.tables[(key, k)])
+        for k in dims
+        for key, g in A.generators_at(k)
+    ]
     results = []
-    assign = {}
-    used = set()
-
-    face_data = {}
-    for d, c in targets:
-        data = []
-        for key, g in _face_keys(A, d):
-            r, rd, e = A.root(A.act_gen(key, d, c), d - 1)
-            data.append((key, r, rd, e, e.is_identity()))
-        face_data[(d, c)] = data
-
-    def candidates(d, c):
-        if (d, c) in forced_nondeg:
-            return [forced_nondeg[(d, c)]]
-        pool = X.nondeg(d) if injective_nondeg else X.cells[d]
-        wants = []
-        for key, r, rd, e, trivial in face_data[(d, c)]:
-            img = assign.get((rd, r))
-            if img is None:
-                continue
-            wants.append((key, img if trivial else X.act(img, rd, e)))
-        out = []
-        for x in pool:
-            if injective_nondeg and (d, x) in used:
-                continue
-            if cand_filter is not None and not cand_filter(d, c, x):
-                continue
-            ok = True
-            for key, want in wants:
-                if X.act_gen(key, d, x) != want:
-                    ok = False
-                    break
-            if ok:
-                out.append(x)
-        return out
+    val = [0] * len(plan)
+    used = [0] * len(pool)
 
     def finish():
-        comps = {}
-        for d in A.dims():
-            comps[d] = {}
-            for c in A.cells[d]:
-                comps[d][c] = _image_of(A, X, assign, c, d)
-        f = PresheafMap(A, X, comps)
-        if not f.is_valid():
-            return
-        for (d, c), v in forced.items():
-            if comps[d][c] != v:
+        comps = [
+            [val[p] if etab is None else etab[val[p]] for p, etab in row]
+            for row in assemble
+        ]
+        for k, a, atab, xtab in checks:
+            ca = comps[a]
+            if [ca[y] for y in atab] != [xtab[v] for v in comps[k]]:
                 return
-        results.append(f)
+        for d, i, x in forced_at:
+            if comps[d][i] != x:
+                return
+        results.append(PresheafMap(A, X, {
+            d: dict(zip(A.cells[d], map(X.cells[d].__getitem__, comps[d])))
+            for d in dims
+        }))
 
-    def backtrack(idx):
+    def backtrack(t):
         if limit is not None and len(results) >= limit:
             return
-        if idx == len(targets):
+        if t == len(plan):
             finish()
             return
-        d, c = targets[idx]
-        for x in candidates(d, c):
-            assign[(d, c)] = x
+        d, c, x_fixed, faces = plan[t]
+        if x_fixed is not None:
+            cands = (x_fixed,)
+        else:
+            mask = pool[d] & ~used[d] if injective_nondeg else pool[d]
+            for masks, p, etab in faces:
+                v = val[p]
+                mask &= masks[v if etab is None else etab[v]]
+                if not mask:
+                    break
+            cands = []
+            xcells = X.cells[d]
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                x = low.bit_length() - 1
+                if cand_filter is None or cand_filter(d, c, xcells[x]):
+                    cands.append(x)
+        for x in cands:
+            val[t] = x
             if injective_nondeg:
-                used.add((d, x))
-            backtrack(idx + 1)
-            del assign[(d, c)]
-            if injective_nondeg:
-                used.discard((d, x))
+                bit = 1 << x
+                used[d] |= bit
+                backtrack(t + 1)
+                used[d] &= ~bit
+            else:
+                backtrack(t + 1)
 
     backtrack(0)
     return results

@@ -12,8 +12,6 @@ map.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import site as st
 from .presheaf import (
     _SITE_KINDS,
@@ -56,11 +54,6 @@ def skeleton_map(f, n):
     return PresheafMap(A, B, comps), iA, iB
 
 
-@lru_cache(maxsize=None)
-def _truncated_representable(site_name, k, n):
-    return representable(site_name, k, n)
-
-
 def _map_to_id(R, f):
     return tuple(
         f.components[d][c] for d in R.dims() for c in R.cells[d]
@@ -79,7 +72,7 @@ def coskeleton(X, n, out_dim=None):
         out_dim = X.trunc_dim
     Xt = truncate(X, n)
     ops = X.ops
-    reps = {k: _truncated_representable(X.site, k, n) for k in range(out_dim + 1)}
+    reps = {k: representable(X.site, k, n) for k in range(out_dim + 1)}
     index = {}
     for k in range(out_dim + 1):
         R = reps[k]
@@ -129,7 +122,7 @@ def coskeleton_map(f, n, out_dim=None):
         out_dim = X.trunc_dim
     CX, _ = coskeleton(X, n, out_dim)
     CY, _ = coskeleton(Y, n, out_dim)
-    reps = {k: _truncated_representable(X.site, k, n) for k in range(out_dim + 1)}
+    reps = {k: representable(X.site, k, n) for k in range(out_dim + 1)}
     comps = {}
     for k in range(out_dim + 1):
         R = reps[k]
