@@ -74,7 +74,8 @@ def _load_as(parse, label, path):
     """parse(JSON of path); a malformed document exits with EXIT_INPUT."""
     try:
         return parse(_load(path))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
         print(f"error: bad {label} file {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
 

@@ -135,7 +135,9 @@ class GraphMap:
         assignment = {
             _freeze(v): _freeze(w) for v, w in data["assignment"]
         }
-        return GraphMap(source, target, assignment)
+        f = GraphMap(source, target, assignment)
+        f.validate()
+        return f
 
 
 def graph_identity(X):

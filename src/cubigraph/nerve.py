@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import site as st
-from .presheaf import FinitePresheaf, PresheafMap
+from .presheaf import PresheafMap, _from_images
 
 
 class BudgetExceeded(Exception):
@@ -392,11 +392,9 @@ def nerve_fragment(X, D, M_max, budget=10 ** 6):
     for k in range(D + 1):
         cs = enumerate_cubes(X, k, M_max, budget=shared)
         cells[k] = tuple(sorted(cs, key=lambda c: (c.support, c.values)))
-    action = {}
-    for k in range(D + 1):
-        for key, g in st.CUBICAL.generators(k, D):
-            action[(key, k)] = {c: _apply_generator(c, key) for c in cells[k]}
-    return FinitePresheaf("cubical", D, cells, action)
+    return _from_images(
+        "cubical", D, cells, lambda key, g, c: _apply_generator(c, key)
+    )
 
 
 def nerve_map(f, NX, NY):

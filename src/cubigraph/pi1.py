@@ -21,6 +21,7 @@ abelianization or bounded word rewriting.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -289,21 +290,21 @@ class GroupoidPresentation:
         return out
 
     def abelianization(self):
-        """(free rank, nontrivial torsion orders) of the abelianized group."""
-        import sympy
-        from sympy.matrices.normalforms import smith_normal_form
+        """(free rank, nontrivial torsion orders) of the abelianized group.
 
-        g = len(self.generators)
-        if g == 0:
-            return 0, []
-        if not self.relators:
-            return g, []
-        snf = smith_normal_form(sympy.Matrix(_relator_rows(self)))
-        diag = [abs(snf[i, i]) for i in range(min(snf.shape))]
-        nonzero = [d for d in diag if d != 0]
-        rank = g - len(nonzero)
-        torsion = [d for d in nonzero if d != 1]
-        return rank, torsion
+        The Smith normal form of the relator rows: echelon the rows, then
+        the transpose, until each row has one nonzero entry, then turn that
+        diagonal into a divisibility chain by gcd/lcm pairs.
+        """
+        rows = [row for _, row in _echelon_basis(_relator_rows(self))]
+        while any(sum(1 for a in row if a) > 1 for row in rows):
+            rows = [row for _, row in _echelon_basis(zip(*rows))]
+        diag = [abs(next(a for a in row if a)) for row in rows]
+        for i in range(len(diag)):
+            for j in range(i + 1, len(diag)):
+                gcd = math.gcd(diag[i], diag[j])
+                diag[i], diag[j] = gcd, diag[i] * diag[j] // gcd
+        return len(self.generators) - len(diag), [d for d in diag if d != 1]
 
 
 def _abelian_image(word, g):

@@ -1,7 +1,10 @@
 """Finite dimension-truncated presheaves over the cube and simplex categories.
 
 A `FinitePresheaf` stores, for each dimension 0..trunc_dim, an ordered tuple
-of cell identifiers, plus one total function per generating site morphism.
+of cell labels, plus one total function per generating site morphism.  A
+finite set of n cells is 0..n-1 and a function on it is a list: the action
+table of a generator is the list whose entry i is the index of the image of
+cell i.  Labels serve only `PresheafMap` components, JSON and repr.
 Generator keys follow the site conventions:
 
     cubical:     ("face", i, eps)   acts X_k -> X_{k-1}
@@ -26,7 +29,16 @@ from . import site as st
 
 
 class FinitePresheaf:
-    """Immutable-by-convention presheaf truncated at trunc_dim."""
+    """Immutable-by-convention presheaf truncated at trunc_dim.
+
+    cells:  d -> tuple of labels; cell i of dimension d is cells[d][i]
+    action: (key, d) -> list, entry i the index in cells[target dim] of
+            the image of cell i under the generator key acting on X_d
+
+    Tables derived from the action are built on first use: the root
+    decompositions (_root_table), the action of any site morphism
+    (_morphism_table) and the face-preimage bitmasks (_face_preimages).
+    """
 
     def __init__(self, site_name, trunc_dim, cells, action):
         self.site = site_name
@@ -38,7 +50,8 @@ class FinitePresheaf:
             d: {c: i for i, c in enumerate(self.cells[d])}
             for d in range(trunc_dim + 1)
         }
-        self._view = None
+        self._roots = self._nondeg = self._nondeg_mask = self._preimages = None
+        self._morphisms = {}
 
     # -- basic access -------------------------------------------------------
 
@@ -55,35 +68,99 @@ class FinitePresheaf:
         return dim <= self.trunc_dim and cell in self._index[dim]
 
     def act_gen(self, key, from_dim, cell):
-        return self.action[(key, from_dim)][cell]
+        image = self.action[(key, from_dim)][self._index[from_dim][cell]]
+        return self.cells[from_dim - 1 if key[0] == "face" else from_dim + 1][image]
 
     def generators_at(self, k):
         return self.ops.generators(k, self.trunc_dim)
 
-    def _compiled(self):
-        if self._view is None:
-            self._view = _Compiled(self)
-        return self._view
-
     def act(self, cell, dim, f):
         """Apply the site morphism f (with f.target_dim == dim) to a cell."""
-        table = self._compiled().morphism_table(f)
+        table = self._morphism_table(f)
         if table is None:
             return cell
         return self.cells[f.source_dim][table[self._index[dim][cell]]]
+
+    def _morphism_table(self, f):
+        """The action of the site morphism f as one index list, composed
+        from the generator tables on first use; None when f is an
+        identity."""
+        try:
+            return self._morphisms[f]
+        except KeyError:
+            pass
+        table = None
+        for key_d, _ in self.ops.factor_keys(f):
+            step = self.action[key_d]
+            table = step if table is None else [step[j] for j in table]
+        self._morphisms[f] = table
+        return table
+
+    def _face_preimages(self):
+        """(face key, d) -> list: face image index -> bitmask of the
+        d-cells with that face."""
+        if self._preimages is None:
+            self._preimages = {}
+            for d in self.dims():
+                for key, _ in self.generators_at(d):
+                    if key[0] != "face":
+                        continue
+                    masks = [0] * len(self.cells[d - 1])
+                    for i, t in enumerate(self.action[(key, d)]):
+                        masks[t] |= 1 << i
+                    self._preimages[(key, d)] = masks
+        return self._preimages
 
     # -- root decomposition ---------------------------------------------------
 
     def root(self, cell, dim):
         """Return (root_cell, root_dim, epi) with cell = root . epi."""
-        r, rd, e = self._compiled().roots[dim][self._index[dim][cell]]
+        r, rd, e = self._root_table()[dim][self._index[dim][cell]]
         return self.cells[rd][r], rd, e
 
     def nondeg(self, dim):
-        return self._compiled().nondeg[dim]
+        self._root_table()
+        return self._nondeg[dim]
 
     def total_nondeg(self):
         return sum(len(self.nondeg(d)) for d in self.dims())
+
+    def _root_table(self):
+        """d -> list of (root index, root dim, epi), one per cell, with
+        cell = root . epi.  Found in one pass with generators outer in
+        generators_at order and source cells inner, first hit winning.
+        Also sets _nondeg (d -> the nondegenerate cells) and _nondeg_mask
+        (d -> their indices as a bitmask)."""
+        if self._roots is not None:
+            return self._roots
+        ops = self.ops
+        roots, nondeg, masks = {}, {}, {}
+        gens_below = ()
+        for d in self.dims():
+            found = [None] * len(self.cells[d])
+            for key, g in gens_below:
+                if key[0] == "face":
+                    continue
+                below = roots[d - 1]
+                for y, t in enumerate(self.action[(key, d - 1)]):
+                    if found[t] is None:
+                        r, rd, e = below[y]
+                        found[t] = (r, rd, ops.compose(e, g))
+            ident = ops.identity(d)
+            mask = 0
+            for i, root in enumerate(found):
+                if root is None:
+                    found[i] = (i, d, ident)
+                    mask |= 1 << i
+            roots[d] = found
+            masks[d] = mask
+            nondeg[d] = tuple(
+                c for c, root in zip(self.cells[d], found) if root[1] == d
+            )
+            gens_below = self.generators_at(d)
+        self._nondeg, self._nondeg_mask = nondeg, masks
+        self._roots = roots
+        return roots
 
     # -- well-formedness ------------------------------------------------------
 
@@ -94,150 +171,73 @@ class FinitePresheaf:
                 table = self.action.get((key, k))
                 if table is None:
                     raise ValueError(f"missing action table {(key, k)}")
-                tgt = g.source_dim
-                for c in self.cells[k]:
-                    if c not in table:
-                        raise ValueError(f"action {(key, k)} not total at {c!r}")
-                    if not self.has_cell(tgt, table[c]):
-                        raise ValueError(f"action {(key, k)} leaves stored cells")
+                if len(table) != len(self.cells[k]):
+                    raise ValueError(f"action {(key, k)} not total")
+                size = len(self.cells[g.source_dim])
+                if not all(type(t) is int and 0 <= t < size for t in table):
+                    raise ValueError(f"action {(key, k)} leaves stored cells")
         for k in self.dims():
             for key_u, u in self.generators_at(k):
                 a = u.source_dim
+                table_u = self.action[(key_u, k)]
                 for key_v, v in self.generators_at(a):
-                    comp = self.ops.compose(u, v)
-                    for c in self.cells[k]:
-                        step = self.act_gen(key_v, a, self.act_gen(key_u, k, c))
-                        if self.act(c, k, comp) != step:
+                    table_v = self.action[(key_v, a)]
+                    comp = self._morphism_table(self.ops.compose(u, v))
+                    for i, t in enumerate(table_u):
+                        if table_v[t] != (i if comp is None else comp[i]):
                             raise ValueError(
                                 f"relation failure at dim {k}: "
-                                f"{key_u} then {key_v} on {c!r}"
+                                f"{key_u} then {key_v} on {self.cells[k][i]!r}"
                             )
         return True
 
     # -- serialization --------------------------------------------------------
 
     def to_json(self):
-        """Relabel cells to per-dimension integers and emit the JSON form."""
-        rel = self._index
-        action = []
-        for (key, d), table in sorted(
-            self.action.items(), key=lambda kv: (kv[0][1], kv[0][0])
-        ):
-            tgt = _gen_target_dim(key, d)
-            action.append(
-                {
-                    "gen": list(key),
-                    "from_dim": d,
-                    "map": {
-                        str(rel[d][c]): rel[tgt][v] for c, v in sorted(
-                            table.items(), key=lambda cv: rel[d][cv[0]]
-                        )
-                    },
-                }
-            )
+        """The JSON form; a cell is named by its index in its dimension."""
         return {
             "site": self.site,
             "trunc_dim": self.trunc_dim,
             "cells": {str(d): list(range(len(self.cells[d]))) for d in self.dims()},
-            "action": action,
+            "action": [
+                {"gen": list(key), "from_dim": d,
+                 "map": {str(i): t for i, t in enumerate(table)}}
+                for (key, d), table in sorted(
+                    self.action.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+            ],
         }
 
     @staticmethod
     def from_json(data):
         cells = {int(d): tuple(ids) for d, ids in data["cells"].items()}
-        action = {}
-        for entry in data["action"]:
-            key = tuple(entry["gen"])
-            d = entry["from_dim"]
-            action[(key, d)] = {int(c): v for c, v in entry["map"].items()}
-        X = FinitePresheaf(data["site"], data["trunc_dim"], cells, action)
+        tables = {
+            (tuple(entry["gen"]), entry["from_dim"]):
+                {int(c): v for c, v in entry["map"].items()}
+            for entry in data["action"]
+        }
+        try:
+            X = _from_images(
+                data["site"], data["trunc_dim"], cells,
+                lambda key, g, c: tables[(key, g.target_dim)][c],
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f"action tables not total on the stored cells: {exc!r}"
+            ) from exc
         X.validate()
         return X
 
 
-def _gen_target_dim(key, from_dim):
-    if key[0] == "face":
-        return from_dim - 1
-    return from_dim + 1
-
-
-class _Compiled:
-    """Integer tables of a presheaf X, built on its first act, root, nondeg
-    or map search.  Cell i of dimension d is X.cells[d][i].
-
-    tables:      (key, d) -> list: the generator action on cell indices
-    roots:       d -> list of (root index, root dim, epi), found in one pass
-                 with generators outer in generators_at order and source
-                 cells inner, first hit winning (cell = root . epi)
-    nondeg:      d -> the nondegenerate cells; nondeg_mask[d] their indices
-                 as a bitmask
-    preimages(): built on the first search into X: (face key, d) -> list,
-                 face image index -> bitmask of the d-cells with that face
-    """
-
-    def __init__(self, X):
-        ops, index = X.ops, X._index
-        self.ops = ops
-        self.sizes = [len(X.cells[d]) for d in X.dims()]
-        self.tables = {}
-        self.roots = {}
-        self.nondeg = {}
-        self.nondeg_mask = {}
-        gens_below = ()
-        for d in X.dims():
-            found = [None] * self.sizes[d]
-            for key, g in gens_below:
-                if key[0] == "face":
-                    continue
-                below = self.roots[d - 1]
-                for y, t in enumerate(self.tables[(key, d - 1)]):
-                    if found[t] is None:
-                        r, rd, e = below[y]
-                        found[t] = (r, rd, ops.compose(e, g))
-            ident = ops.identity(d)
-            mask = 0
-            for i, root in enumerate(found):
-                if root is None:
-                    found[i] = (i, d, ident)
-                    mask |= 1 << i
-            self.roots[d] = found
-            self.nondeg_mask[d] = mask
-            self.nondeg[d] = tuple(
-                c for c, root in zip(X.cells[d], found) if root[1] == d
-            )
-            gens_below = X.generators_at(d)
-            for key, g in gens_below:
-                tgt = index[g.source_dim]
-                table = X.action[(key, d)]
-                self.tables[(key, d)] = [tgt[table[c]] for c in X.cells[d]]
-        self._morphisms = {}
-        self._preimages = None
-
-    def morphism_table(self, f):
-        """The action of the site morphism f as one index list, built on
-        first use; None when f is an identity."""
-        try:
-            return self._morphisms[f]
-        except KeyError:
-            pass
-        table = None
-        for key_d, _ in self.ops.factor_keys(f):
-            step = self.tables[key_d]
-            table = step if table is None else [step[j] for j in table]
-        self._morphisms[f] = table
-        return table
-
-    def preimages(self):
-        if self._preimages is None:
-            self._preimages = {}
-            for (key, d), table in self.tables.items():
-                if key[0] != "face":
-                    continue
-                masks = [0] * self.sizes[d - 1]
-                for i, t in enumerate(table):
-                    masks[t] |= 1 << i
-                self._preimages[(key, d)] = masks
-        return self._preimages
+def _from_images(site_name, trunc_dim, cells, image):
+    """The presheaf on cells (dim -> labels) whose generator (key, g) sends
+    the cell c of dimension g.target_dim to the cell labelled
+    image(key, g, c) of dimension g.source_dim."""
+    X = FinitePresheaf(site_name, trunc_dim, cells, {})
+    for d in X.dims():
+        for key, g in X.generators_at(d):
+            index = X._index[g.source_dim]
+            X.action[(key, d)] = [index[image(key, g, c)] for c in X.cells[d]]
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -370,31 +370,33 @@ def representable(site_name, k, trunc_dim):
 @lru_cache(maxsize=128)
 def _representable(site_name, k, trunc_dim):
     ops = st.site_ops(site_name)
-    cells = {d: tuple(ops.all_morphisms(d, k)) for d in range(trunc_dim + 1)}
-    action = {}
-    for d in range(trunc_dim + 1):
-        for key, g in ops.generators(d, trunc_dim):
-            action[(key, d)] = {c: ops.compose(c, g) for c in cells[d]}
-    return FinitePresheaf(site_name, trunc_dim, cells, action)
+    cells = {d: ops.all_morphisms(d, k) for d in range(trunc_dim + 1)}
+    return _from_images(
+        site_name, trunc_dim, cells, lambda key, g, c: ops.compose(c, g)
+    )
 
 
 def subpresheaf(X, keep):
     """Restrict X to the cells selected by keep(dim, cell); must be closed."""
-    cells = {
-        d: tuple(c for c in X.cells[d] if keep(d, c)) for d in X.dims()
+    kept = {
+        d: [i for i, c in enumerate(X.cells[d]) if keep(d, c)]
+        for d in X.dims()
     }
-    chosen = {d: set(cells[d]) for d in X.dims()}
+    renumber = {}  # d -> new index of each old index, -1 if dropped
+    for d, old in kept.items():
+        renumber[d] = row = [-1] * len(X.cells[d])
+        for j, i in enumerate(old):
+            row[i] = j
     action = {}
     for d in X.dims():
         for key, g in X.generators_at(d):
-            table = X.action[(key, d)]
-            sub = {}
-            for c in cells[d]:
-                v = table[c]
-                if v not in chosen[g.source_dim]:
-                    raise ValueError("selection not closed under the action")
-                sub[c] = v
+            table, row = X.action[(key, d)], renumber[g.source_dim]
+            sub = [row[table[i]] for i in kept[d]]
+            if -1 in sub:
+                raise ValueError("selection not closed under the action")
             action[(key, d)] = sub
+    cells = {d: tuple(map(X.cells[d].__getitem__, old))
+             for d, old in kept.items()}
     A = FinitePresheaf(X.site, X.trunc_dim, cells, action)
     incl = PresheafMap(A, X, {d: {c: c for c in cells[d]} for d in X.dims()})
     return A, incl
@@ -484,21 +486,18 @@ def disjoint_union(X, Y):
     action = {}
     for d in X.dims():
         for key, g in X.generators_at(d):
-            table = {}
-            for c in X.cells[d]:
-                table[(0, c)] = (0, X.act_gen(key, d, c))
-            for c in Y.cells[d]:
-                table[(1, c)] = (1, Y.act_gen(key, d, c))
-            action[(key, d)] = table
+            shift = len(X.cells[g.source_dim])
+            action[(key, d)] = X.action[(key, d)] + [
+                t + shift for t in Y.action[(key, d)]
+            ]
     return FinitePresheaf(X.site, X.trunc_dim, cells, action)
 
 
 class _UnionFind:
-    """Union-find over hashable nodes (never None); each class is rooted
-    at its member with the least key(node)."""
+    """Union-find over hashable, ordered nodes (never None); each class is
+    rooted at its least member."""
 
-    def __init__(self, key):
-        self.key = key
+    def __init__(self):
         self.parent = {}  # non-root node -> a node nearer its root
 
     def find(self, node):
@@ -517,7 +516,7 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if self.key(rb) < self.key(ra):
+        if rb < ra:
             ra, rb = rb, ra
         self.parent[rb] = ra
         return True
@@ -529,34 +528,40 @@ def quotient(X, pairs):
     Identifications propagate through every generator action; the class
     representative is the member earliest in stored order.
     """
-    classes = _UnionFind(key=lambda node: (node[0], X.cell_index(*node)))
-    queue = [((d, a), (d, b)) for d, a, b in pairs]
+    classes = _UnionFind()  # over (dim, index) pairs
+    tables = {
+        d: [(X.action[(key, d)], g.source_dim) for key, g in X.generators_at(d)]
+        for d in X.dims()
+    }
+    queue = [((d, X._index[d][a]), (d, X._index[d][b])) for d, a, b in pairs]
     while queue:
         na, nb = queue.pop()
         if not classes.union(na, nb):
             continue
-        d, ca = na
-        _, cb = nb
-        for key, g in X.generators_at(d):
-            va = X.act_gen(key, d, ca)
-            vb = X.act_gen(key, d, cb)
-            queue.append(((g.source_dim, va), (g.source_dim, vb)))
+        d, ia = na
+        ib = nb[1]
+        for table, a in tables[d]:
+            queue.append(((a, table[ia]), (a, table[ib])))
 
-    rep = {
-        (d, c): classes.find((d, c))[1] for d in X.dims() for c in X.cells[d]
-    }
-    cells = {}
+    # per dimension: the class roots (each the least index of its class)
+    # in stored order, and the new index of every old cell
+    roots, renumber = {}, {}
     for d in X.dims():
-        cells[d] = tuple(dict.fromkeys(rep[(d, c)] for c in X.cells[d]))
+        rep = [classes.find((d, i))[1] for i in range(len(X.cells[d]))]
+        roots[d] = [i for i, r in enumerate(rep) if r == i]
+        new = {r: j for j, r in enumerate(roots[d])}
+        renumber[d] = [new[r] for r in rep]
+    cells = {d: tuple(map(X.cells[d].__getitem__, roots[d])) for d in X.dims()}
     action = {}
     for d in X.dims():
         for key, g in X.generators_at(d):
-            action[(key, d)] = {
-                rep[(d, c)]: rep[(g.source_dim, X.act_gen(key, d, c))]
-                for c in X.cells[d]
-            }
+            table, row = X.action[(key, d)], renumber[g.source_dim]
+            action[(key, d)] = [row[table[i]] for i in roots[d]]
     Q = FinitePresheaf(X.site, X.trunc_dim, cells, action)
-    proj = PresheafMap(X, Q, {d: {c: rep[(d, c)] for c in X.cells[d]} for d in X.dims()})
+    proj = PresheafMap(X, Q, {
+        d: dict(zip(X.cells[d], map(cells[d].__getitem__, renumber[d])))
+        for d in X.dims()
+    })
     return Q, proj
 
 
@@ -604,7 +609,7 @@ def enumerate_maps(A, X, forced=None, injective_nondeg=False, limit=None,
     image choices of non-forced nondegenerate cells (a search hint only;
     callers needing it as a guarantee must re-check the returned maps).
 
-    The search runs on cell indices (see _Compiled).  The candidates for a
+    The search runs on cell indices.  The candidates for a
     nondegenerate cell are the cells of X whose faces match the images of
     its faces: the AND of the face-preimage bitmasks, taken lowest bit
     first, which is stored order.  Every assembled map is checked for
@@ -612,8 +617,8 @@ def enumerate_maps(A, X, forced=None, injective_nondeg=False, limit=None,
     """
     if A.site != X.site or A.trunc_dim != X.trunc_dim:
         raise ValueError("shape mismatch")
-    VA, VX = A._compiled(), X._compiled()
-    preimages = VX.preimages()
+    roots_a = A._root_table()
+    preimages = X._face_preimages()
     dims = A.dims()
     forced_at = []  # (dim, A index, X index)
     for (d, c), v in (forced or {}).items():
@@ -628,30 +633,31 @@ def enumerate_maps(A, X, forced=None, injective_nondeg=False, limit=None,
     assemble = []
     for d in dims:
         row = []
-        for i, (r, rd, e) in enumerate(VA.roots[d]):
+        for i, (r, rd, e) in enumerate(roots_a[d]):
             if rd == d:
                 position[(d, i)] = len(position)
                 row.append((position[(d, i)], None))
             else:
-                row.append((position[(rd, r)], VX.morphism_table(e)))
+                row.append((position[(rd, r)], X._morphism_table(e)))
         assemble.append(row)
     fixed = {
         position[(d, i)]: x for d, i, x in forced_at if (d, i) in position
     }
     plan = [
         (d, A.cells[d][i], fixed.get(t), [
-            (preimages[(key, d)],) + assemble[d - 1][VA.tables[(key, d)][i]]
+            (preimages[(key, d)],) + assemble[d - 1][A.action[(key, d)][i]]
             for key, _ in A.generators_at(d)
             if key[0] == "face"
         ])
         for (d, i), t in position.items()
     ]
-    pool = [
-        VX.nondeg_mask[d] if injective_nondeg else (1 << VX.sizes[d]) - 1
-        for d in dims
-    ]
+    if injective_nondeg:
+        X._root_table()
+        pool = [X._nondeg_mask[d] for d in dims]
+    else:
+        pool = [(1 << len(X.cells[d])) - 1 for d in dims]
     checks = [
-        (k, g.source_dim, VA.tables[(key, k)], VX.tables[(key, k)])
+        (k, g.source_dim, A.action[(key, k)], X.action[(key, k)])
         for k in dims
         for key, g in A.generators_at(k)
     ]

@@ -15,7 +15,7 @@ the generator actions via a union-find pass.
 from __future__ import annotations
 
 from . import site as st
-from .presheaf import FinitePresheaf, PresheafMap, _UnionFind
+from .presheaf import PresheafMap, _from_images, _UnionFind
 from .site import CubeMorphism, SimplexMorphism, cube_compose, cube_tensor
 
 
@@ -67,16 +67,12 @@ def geometric_product(X, Y, trunc_dim=None):
                         for e in epis:
                             out.append(((p, x), (q, y), e))
         cells[n] = tuple(out)
-    action = {}
-    ops = st.CUBICAL
-    for n in range(trunc_dim + 1):
-        for key, g in ops.generators(n, trunc_dim):
-            table = {}
-            for cell in cells[n]:
-                (p, x), (q, y), e = cell
-                table[cell] = _normalize_triple(X, Y, p, x, q, y, cube_compose(e, g))
-            action[(key, n)] = table
-    return FinitePresheaf("cubical", trunc_dim, cells, action)
+
+    def image(key, g, cell):
+        (p, x), (q, y), e = cell
+        return _normalize_triple(X, Y, p, x, q, y, cube_compose(e, g))
+
+    return _from_images("cubical", trunc_dim, cells, image)
 
 
 def end_inclusion(X, P, interval, eps):
@@ -167,40 +163,31 @@ def triangulate(X, trunc_dim=None):
             for k in range(D + 1):
                 for s in chain_cache[(n, k)]:
                     order[(k, n, x, s)] = len(order)
-    classes = _UnionFind(key=order.__getitem__)
+    nodes = list(order)
+    classes = _UnionFind()  # over creation-order ints
     find = classes.find
 
     for n in X.dims():
         for key, g in st.CUBICAL.generators(n, X.trunc_dim):
             a = g.source_dim
-            for x in X.cells[n]:
-                y = X.act_gen(key, n, x)
+            table = X.action[(key, n)]
+            for x, t in zip(X.cells[n], table):
+                y = X.cells[a][t]
                 for k in range(D + 1):
                     for s in chain_cache[(a, k)]:
                         gs = tuple(g.evaluate(v) for v in s)
-                        classes.union((k, a, y, s), (k, n, x, gs))
+                        classes.union(order[(k, a, y, s)], order[(k, n, x, gs)])
 
-    cells = {}
-    for k in range(D + 1):
-        seen = []
-        seen_set = set()
-        for node in order:
-            if node[0] != k:
-                continue
-            r = find(node)
-            if r not in seen_set:
-                seen_set.add(r)
-                seen.append(r)
-        seen.sort(key=lambda r: order[r])
-        cells[k] = tuple(seen)
+    # each class is named by its earliest node, so the roots in creation
+    # order are the cells in stored order
+    cells = {k: [] for k in range(D + 1)}
+    for j, node in enumerate(nodes):
+        if find(j) == j:
+            cells[node[0]].append(node)
 
-    action = {}
-    for k in range(D + 1):
-        for key, g in st.SIMPLICIAL.generators(k, D):
-            table = {}
-            for rep in cells[k]:
-                _, n, x, s = rep
-                new_chain = tuple(s[v] for v in g.values)
-                table[rep] = find((g.source_dim, n, x, new_chain))
-            action[(key, k)] = table
-    return FinitePresheaf("simplicial", D, cells, action)
+    def image(key, g, cell):
+        _, n, x, s = cell
+        face = (g.source_dim, n, x, tuple(s[v] for v in g.values))
+        return nodes[find(order[face])]
+
+    return _from_images("simplicial", D, cells, image)

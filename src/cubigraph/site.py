@@ -527,7 +527,6 @@ class SiteOps:
     def __init__(self, name):
         self.name = name
         self._factor_cache = {}
-        self._compose_cache = {}
 
     @property
     def cubical(self):
@@ -537,12 +536,7 @@ class SiteOps:
         return cube_identity(n) if self.cubical else simplex_identity(n)
 
     def compose(self, g, f):
-        key = (g, f)
-        out = self._compose_cache.get(key)
-        if out is None:
-            out = cube_compose(g, f) if self.cubical else simplex_compose(g, f)
-            self._compose_cache[key] = out
-        return out
+        return cube_compose(g, f) if self.cubical else simplex_compose(g, f)
 
     def all_morphisms(self, m, n):
         return all_cube_morphisms(m, n) if self.cubical else all_simplex_morphisms(m, n)

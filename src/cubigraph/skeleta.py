@@ -18,6 +18,7 @@ from .presheaf import (
     FinitePresheaf,
     PresheafMap,
     _cube_nonconst,
+    _from_images,
     _open_cell_indices,
     _standard_keep,
     enumerate_maps,
@@ -73,34 +74,30 @@ def coskeleton(X, n, out_dim=None):
     Xt = truncate(X, n)
     ops = X.ops
     reps = {k: representable(X.site, k, n) for k in range(out_dim + 1)}
-    index = {}
-    for k in range(out_dim + 1):
-        R = reps[k]
-        index[k] = {
-            (d, c): pos
-            for pos, (d, c) in enumerate(
-                (d, c) for d in R.dims() for c in R.cells[d]
-            )
-        }
     cells = {}
     for k in range(out_dim + 1):
         cells[k] = tuple(
             _map_to_id(reps[k], f) for f in enumerate_maps(reps[k], Xt)
         )
-    action = {}
+    # (key, k) -> the slots of a k-cell that the generator's image reads:
+    # slot j of the image is the value at g . c, c the j-th cell of R_a
+    positions = {}
     for k in range(out_dim + 1):
+        R = reps[k]
+        start = [0]
+        for d in R.dims():
+            start.append(start[-1] + len(R.cells[d]))
         for key, g in ops.generators(k, out_dim):
-            a = g.source_dim
-            Ra = reps[a]
-            positions = [
-                index[k][(d, ops.compose(g, c))]
+            Ra = reps[g.source_dim]
+            positions[(key, k)] = [
+                start[d] + R.cell_index(d, ops.compose(g, c))
                 for d in Ra.dims()
                 for c in Ra.cells[d]
             ]
-            action[(key, k)] = {
-                u: tuple(u[p] for p in positions) for u in cells[k]
-            }
-    C = FinitePresheaf(X.site, out_dim, cells, action)
+    C = _from_images(
+        X.site, out_dim, cells,
+        lambda key, g, u: tuple(u[p] for p in positions[(key, g.target_dim)]),
+    )
     unit = None
     if out_dim == X.trunc_dim:
         comps = {}

@@ -144,6 +144,33 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+_CELL = ps.representable("cubical", 0, 0).to_json()
+_PT_TO_I1 = gr.GraphMap(gr.interval(0), gr.interval(1), {0: 0}).to_json()
+
+
+@pytest.mark.parametrize("command, flags, doc", [
+    # a presheaf whose cells are a list, not a dimension -> ids object
+    ("cosk", ("--input",), dict(_CELL, cells=[[0]])),
+    # a graph edge with one end
+    ("pi0", ("--graph",), {"vertices": [0, 1], "edges": [[0]]}),
+    # a graph map with a value outside the target's vertices
+    ("check-graph-fibration", ("--map",), dict(_PT_TO_I1, assignment=[[0, 5]])),
+    ("psi-check", ("--f", "--g"), dict(_PT_TO_I1, assignment=[[0, 5]])),
+])
+def test_malformed_document_is_input_error(tmp_path, capsys, command, flags,
+                                           doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, str(bad)]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert err.startswith("error: bad ") and err.count("\n") == 1
+
+
 def test_budget_exit_code(files, capsys):
     cfgfile = files["c5.json"].replace("c5.json", "cfg.json")
     with open(cfgfile, "w") as fh:

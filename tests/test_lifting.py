@@ -118,7 +118,7 @@ def test_boundary_of_the_point_is_empty(site):
         # the empty presheaf, with an empty action table per generator
         ops = st.site_ops(site)
         empty = ps.FinitePresheaf(site, D, {}, {
-            (key, d): {} for d in range(D + 1)
+            (key, d): [] for d in range(D + 1)
             for key, _ in ops.generators(d, D)
         })
         bd = ps.build_standard(boundary, 0, trunc_dim=D).realized

@@ -2,6 +2,7 @@
 the pullback comparison machinery."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -311,6 +312,47 @@ def test_lattice_contains_agrees_with_hermite_normal_form():
             image = [rng.randint(-6, 6) for _ in range(c)]
         assert pi1._lattice_contains(rows, image) == _hnf_contains(
             rows, image), (rows, image)
+
+
+def _sympy_abelianization(pres):
+    import sympy
+    from sympy.matrices.normalforms import smith_normal_form
+
+    g = len(pres.generators)
+    if g == 0:
+        return 0, []
+    if not pres.relators:
+        return g, []
+    snf = smith_normal_form(sympy.Matrix(pi1._relator_rows(pres)))
+    diag = [abs(snf[i, i]) for i in range(min(snf.shape))]
+    nonzero = [int(d) for d in diag if d != 0]
+    return g - len(nonzero), [d for d in nonzero if d != 1]
+
+
+def test_abelianization_agrees_with_sympy_smith_normal_form():
+    C4, C5, I1 = gr.cycle(4), gr.cycle(5), gr.interval(1)
+    graphs = [gr.cycle(n) for n in (3, 4, 5, 6)] + [
+        gr.box_product(I1, I1), gr.box_product(C4, C4),
+        gr.box_product(C5, C5), gr.box_product(C5, I1)]
+    for G in graphs:
+        pres = pi1.a1_presentation(G, G.vertices[0])
+        assert pres.abelianization() == _sympy_abelianization(pres), G
+    # random relator matrices, with zero rows and torsion; a relator word
+    # spells its row as exponent sums
+    rng = random.Random(7)
+    torsion = 0
+    for _ in range(400):
+        g, r = rng.randint(0, 5), rng.randint(0, 5)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3, 4, 6)) for _ in range(g)]
+                for _ in range(r)]
+        pres = SimpleNamespace(generators=[None] * g, relators=[
+            [(j, 1 if a > 0 else -1) for j, a in enumerate(row)
+             for _ in range(abs(a))]
+            for row in rows])
+        got = pi1.GroupoidPresentation.abelianization(pres)
+        assert got == _sympy_abelianization(pres), rows
+        torsion += bool(got[1])
+    assert torsion > 50
 
 
 def test_loop_word_trivial_gives_up_within_the_state_cap():

@@ -27,6 +27,75 @@ def test_presheaf_validates():
         X.validate()
 
 
+def _edge_doc(cells, face0, face1, deg):
+    """A cubical presheaf document truncated at 1, one table per generator."""
+    return {
+        "site": "cubical", "trunc_dim": 1,
+        "cells": {"0": cells[0], "1": cells[1]},
+        "action": [
+            {"gen": ["deg", 1], "from_dim": 0, "map": deg},
+            {"gen": ["face", 1, 0], "from_dim": 1, "map": face0},
+            {"gen": ["face", 1, 1], "from_dim": 1, "map": face1},
+        ],
+    }
+
+
+_EDGE = ([0, 1], [0, 1, 2])
+_FACE0 = {"0": 0, "1": 1, "2": 0}
+_FACE1 = {"0": 0, "1": 1, "2": 1}
+_DEG = {"0": 0, "1": 1}
+
+
+_NOT_TOTAL = "not total on the stored cells"
+
+
+@pytest.mark.parametrize("doc, reason", [
+    # a missing generator table
+    (dict(_edge_doc(_EDGE, _FACE0, _FACE1, _DEG),
+          action=_edge_doc(_EDGE, _FACE0, _FACE1, _DEG)["action"][:2]),
+     _NOT_TOTAL),
+    # a short map: the edge has no 0-face
+    (_edge_doc(_EDGE, {"0": 0, "1": 1}, _FACE1, _DEG), _NOT_TOTAL),
+    # images that are no cell
+    (_edge_doc(_EDGE, {"0": 0, "1": 1, "2": 5}, _FACE1, _DEG), _NOT_TOTAL),
+    (_edge_doc(_EDGE, {"0": 0, "1": 1, "2": "a"}, _FACE1, _DEG), _NOT_TOTAL),
+    (_edge_doc(_EDGE, {"0": 0, "1": 1, "2": [0]}, _FACE1, _DEG), _NOT_TOTAL),
+    # a broken relation: the 0-face of the degenerate edge on vertex 0 is 1
+    (_edge_doc(_EDGE, {"0": 1, "1": 1, "2": 0}, _FACE1, _DEG),
+     "relation failure"),
+])
+def test_from_json_rejects_malformed_documents(doc, reason):
+    with pytest.raises(ValueError, match=reason):
+        ps.FinitePresheaf.from_json(doc)
+
+
+@pytest.mark.parametrize("tables, reason", [
+    ({}, "missing action table"),
+    ({("face", 1, 1): [0, 1]}, "not total"),
+    ({("face", 1, 1): [0, 1, 2]}, "leaves stored cells"),
+    ({("face", 1, 1): [0, 1, True]}, "leaves stored cells"),
+    ({("face", 1, 0): [1, 1, 0], ("face", 1, 1): [0, 1, 1]},
+     "relation failure"),
+])
+def test_validate_rejects_malformed_tables(tables, reason):
+    action = {(("deg", 1), 0): [0, 1], (("face", 1, 0), 1): [0, 1, 0]}
+    action.update({(key, 1): table for key, table in tables.items()})
+    X = ps.FinitePresheaf("cubical", 1, {0: "ab", 1: "abc"}, action)
+    with pytest.raises(ValueError, match=reason):
+        X.validate()
+
+
+def test_from_json_relabels_cell_ids():
+    edge = ps.build_standard("cube", 1, trunc_dim=1).realized
+    assert _edge_doc(_EDGE, _FACE0, _FACE1, _DEG) == edge.to_json()
+    doc = _edge_doc(([7, 5], [3, 9, 4]), {"3": 7, "9": 5, "4": 7},
+                    {"3": 7, "9": 5, "4": 5}, {"7": 3, "5": 9})
+    X = ps.FinitePresheaf.from_json(doc)
+    assert X.cells == {0: (7, 5), 1: (3, 9, 4)}
+    assert X.act_gen(("face", 1, 1), 1, 4) == 5
+    assert X.to_json() == edge.to_json()
+
+
 def test_boundary_and_open_box_cells():
     bd = ps.build_standard("boundary_cube", 2).realized
     assert [len(bd.nondeg(d)) for d in bd.dims()] == [4, 4, 0]
@@ -150,9 +219,9 @@ def test_standard_cells_share_the_cached_representable():
 
 
 # ---------------------------------------------------------------------------
-# The pool-scan search and the quadratic root scan that the compiled index
-# tables replaced, kept as oracles: they read only the label-keyed action
-# dicts, never the compiled tables.
+# The pool-scan search and the quadratic root scan that the index-table
+# search replaced, kept as oracles: they read actions only through act_gen,
+# never the derived root, morphism or preimage tables.
 
 
 def _scan_root(X, cell, dim, memo):
@@ -163,9 +232,8 @@ def _scan_root(X, cell, dim, memo):
         for key, g in X.generators_at(dim - 1):
             if key[0] == "face":
                 continue
-            table = X.action[(key, dim - 1)]
             for y in X.cells[dim - 1]:
-                if table[y] == cell:
+                if X.act_gen(key, dim - 1, y) == cell:
                     r, rd, e = _scan_root(X, y, dim - 1, memo)
                     result = (r, rd, X.ops.compose(e, g))
                     break
@@ -185,7 +253,7 @@ def _scan_nondeg(X, dim, memo):
 
 def _walk_act(X, cell, f):
     for (key, d), _ in X.ops.factor_keys(f):
-        cell = X.action[(key, d)][cell]
+        cell = X.act_gen(key, d, cell)
     return cell
 
 
