@@ -337,13 +337,18 @@ def map_to_json(f):
 def map_from_json(data):
     source = FinitePresheaf.from_json(data["source"])
     target = FinitePresheaf.from_json(data["target"])
-    components = {
-        int(d): {
-            source.cells[int(d)][j]: target.cells[int(d)][v]
-            for j, v in enumerate(images)
-        }
-        for d, images in data["components"].items()
-    }
+    components = {}
+    for d, images in data["components"].items():
+        d = int(d)
+        cells, size = source.cells[d], len(target.cells[d])
+        # bool is an int subclass, and a negative index would wrap around
+        if len(images) != len(cells) or not all(
+            type(v) is int and 0 <= v < size for v in images
+        ):
+            raise ValueError(
+                f"component {d} does not send each source cell to a target cell"
+            )
+        components[d] = {c: target.cells[d][v] for c, v in zip(cells, images)}
     f = PresheafMap(source, target, components)
     f.validate()
     return f
@@ -402,14 +407,6 @@ def subpresheaf(X, keep):
     return A, incl
 
 
-def _cube_nonconst(c):
-    return sum(1 for t in c.coords if t[0] != "c")
-
-
-def _cube_const_slots(c):
-    return {(i + 1, t[1]) for i, t in enumerate(c.coords) if t[0] == "c"}
-
-
 # per site: the kinds of its whole cells, boundaries and open boxes/horns
 _SITE_KINDS = {
     "cubical": ("cube", "boundary_cube", "open_box"),
@@ -425,25 +422,42 @@ def _open_cell_indices(site_name, k):
     return [(i, None) for i in range(k + 1)]
 
 
+def _cell_signature(c):
+    """One int per site morphism c into a standard cell: for a cube map,
+    bit 2(i-1)+eps is set when slot i is the constant eps; for a simplex
+    map, bit v is set when v is a value."""
+    s = 0
+    if isinstance(c, st.CubeMorphism):
+        for i, t in enumerate(c.coords):
+            if t[0] == "c":
+                s |= 1 << (2 * i + t[1])
+    else:
+        for v in c.values:
+            s |= 1 << v
+    return s
+
+
 def _standard_keep(kind, k, i=None, eps=None):
-    """Predicate on the site morphisms into the standard k-cell: those that
-    the standard cell of this kind keeps.  A boundary of dimension 0 keeps
-    none, so it is the empty cell."""
+    """Predicate on the signatures (_cell_signature) of the site morphisms
+    into the standard k-cell: those that the standard cell of this kind
+    keeps.  A boundary of dimension 0 keeps none, so it is the empty
+    cell."""
     if kind in ("cube", "simplex"):
-        return lambda c: True
+        return lambda s: True
     if kind == "boundary_cube":
-        return lambda c: bool(_cube_const_slots(c))
+        return lambda s: s != 0
     if kind == "boundary_simplex":
-        return lambda c: len(set(c.values)) <= k
+        return lambda s: s.bit_count() <= k
     if kind == "open_box":
         if i not in range(1, k + 1) or eps not in (0, 1):
             raise ValueError("invalid open box parameters")
-        return lambda c: bool(_cube_const_slots(c) - {(i, eps)})
+        others = ~(1 << (2 * (i - 1) + eps))
+        return lambda s: bool(s & others)
     if kind == "horn":
         if k < 1 or i not in range(k + 1):
             raise ValueError("invalid horn parameters")
-        others = set(range(k + 1)) - {i}
-        return lambda c: bool(others - set(c.values))
+        others = ((1 << (k + 1)) - 1) & ~(1 << i)
+        return lambda s: bool(others & ~s)
     raise ValueError(f"unknown standard cell kind {kind!r}")
 
 
@@ -468,7 +482,7 @@ def build_standard(kind, k, i=None, eps=None, trunc_dim=None):
     keep = _standard_keep(kind, k, i, eps)
     site_name = "cubical" if kind in _SITE_KINDS["cubical"] else "simplicial"
     amb = representable(site_name, k, trunc_dim)
-    realized, incl = subpresheaf(amb, lambda d, c: keep(c))
+    realized, incl = subpresheaf(amb, lambda d, c: keep(_cell_signature(c)))
     return StandardCell(kind, k, i, eps, realized, amb, incl)
 
 

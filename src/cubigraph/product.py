@@ -14,13 +14,17 @@ the generator actions via a union-find pass.
 
 from __future__ import annotations
 
+import itertools
+
 from . import site as st
-from .presheaf import PresheafMap, _from_images, _UnionFind
+from .presheaf import FinitePresheaf, PresheafMap, _from_images, _UnionFind
 from .site import CubeMorphism, SimplexMorphism, cube_compose, cube_tensor
 
 
-def _split_face(mono, p):
-    """Split a constant-inserting map [1]^r -> [1]^(p+q) across the marker p."""
+def _split_face(f, p):
+    """f = (m1 (x) m2) . epi, with m1, m2 the constant-inserting parts of
+    f on either side of the marker p (faces only insert constants)."""
+    mono, epi = st.cube_mono_epi(f)
     left, right = [], []
     seen_vars = 0
     for j, t in enumerate(mono.coords):
@@ -36,43 +40,84 @@ def _split_face(mono, p):
     ]
     return CubeMorphism(r1, tuple(left)), CubeMorphism(
         mono.source_dim - r1, tuple(right)
-    )
+    ), epi
 
 
-def _normalize_triple(X, Y, p, x, q, y, f):
-    """Canonical product cell for the raw datum (x, y) . f."""
-    mono, epi = st.cube_mono_epi(f)
-    m1, m2 = _split_face(mono, p)
-    x1 = X.act(x, p, m1) if not m1.is_identity() else x
-    y1 = Y.act(y, q, m2) if not m2.is_identity() else y
-    x0, p0, e1 = X.root(x1, m1.source_dim)
-    y0, q0, e2 = Y.root(y1, m2.source_dim)
-    e = cube_compose(cube_tensor(e1, e2), epi)
-    return ((p0, x0), (q0, y0), e)
+def _nondeg_roots(X):
+    """(d -> indices of the nondegenerate d-cells, d -> per d-cell its
+    root as (position among the nondegenerate cells of its dim, epi))."""
+    roots = X._root_table()
+    nd = {d: [i for i, r in enumerate(roots[d]) if r[1] == d] for d in X.dims()}
+    pos = {d: {i: j for j, i in enumerate(nd[d])} for d in X.dims()}
+    return nd, {
+        d: [(pos[rd][r], e) for r, rd, e in roots[d]] for d in X.dims()
+    }
 
 
 def geometric_product(X, Y, trunc_dim=None):
+    """The n-cells are the triples ((p, x), (q, y), e) in block order
+    (p, q), then x, y and e; a cell's index is computed from its block,
+    the positions of x and y and the index of e.  The face split of
+    e . g is derived once per (e, generator g), and the glued epi once
+    per (root epis, epi part)."""
     if X.site != "cubical" or Y.site != "cubical":
         raise ValueError("geometric product requires cubical presheaves")
     if trunc_dim is None:
         trunc_dim = min(X.trunc_dim + Y.trunc_dim, max(X.trunc_dim, Y.trunc_dim) + 2)
-    cells = {}
+    ndx, rootx = _nondeg_roots(X)
+    ndy, rooty = _nondeg_roots(Y)
+    blocks, first, cells = {}, {}, {}
     for n in range(trunc_dim + 1):
-        out = []
+        blocks[n], out = [], []
         for p in range(min(n, X.trunc_dim) + 1):
             for q in range(min(n - p, Y.trunc_dim) + 1):
                 epis = st.all_cube_epis(n, p + q)
-                for x in X.nondeg(p):
-                    for y in Y.nondeg(q):
+                blocks[n].append((p, q, epis))
+                first[(n, p, q)] = len(out)
+                for x in ndx[p]:
+                    for y in ndy[q]:
                         for e in epis:
-                            out.append(((p, x), (q, y), e))
+                            out.append(((p, X.cells[p][x]), (q, Y.cells[q][y]), e))
         cells[n] = tuple(out)
 
-    def image(key, g, cell):
-        (p, x), (q, y), e = cell
-        return _normalize_triple(X, Y, p, x, q, y, cube_compose(e, g))
+    epi_at = {}  # (n, r) -> epi [1]^n -> [1]^r -> its index
+    # (e1, e2, epi) -> (base, x stride, y stride): the re-rooted cell of
+    # the nondegenerate x and y at positions i and j is base + i*xs + j*ys
+    glued = {}
 
-    return _from_images("cubical", trunc_dim, cells, image)
+    def glue(e1, e2, epi):
+        e = cube_compose(cube_tensor(e1, e2), epi)
+        n, p, q = e.source_dim, e1.target_dim, e2.target_dim
+        at = epi_at.get((n, p + q))
+        if at is None:
+            at = epi_at[(n, p + q)] = {
+                f: i for i, f in enumerate(st.all_cube_epis(n, p + q))
+            }
+        size = len(at)
+        return first[(n, p, q)] + at[e], len(ndy[q]) * size, size
+
+    action = {}
+    for n in range(trunc_dim + 1):
+        for key, g in st.CUBICAL.generators(n, trunc_dim):
+            row = []
+            for p, q, epis in blocks[n]:
+                split = []
+                for e in epis:
+                    m1, m2, epi = _split_face(cube_compose(e, g), p)
+                    split.append((m1.source_dim, X._morphism_table(m1),
+                                  m2.source_dim, Y._morphism_table(m2), epi))
+                for x in ndx[p]:
+                    for y in ndy[q]:
+                        for r1, t1, r2, t2, epi in split:
+                            xpos, e1 = rootx[r1][x if t1 is None else t1[x]]
+                            ypos, e2 = rooty[r2][y if t2 is None else t2[y]]
+                            hit = glued.get((e1, e2, epi))
+                            if hit is None:
+                                hit = glued[(e1, e2, epi)] = glue(e1, e2, epi)
+                            base, xs, ys = hit
+                            row.append(base + xpos * xs + ypos * ys)
+            action[(key, n)] = row
+    return FinitePresheaf("cubical", trunc_dim, cells, action)
 
 
 def end_inclusion(X, P, interval, eps):
@@ -136,58 +181,78 @@ def _chains(n, k):
 
 
 def _all_points(n):
-    import itertools
-
     return list(itertools.product((0, 1), repeat=n))
 
 
 def _points_above(v, n):
-    import itertools
-
     return [
         w for w in itertools.product((0, 1), repeat=n) if all(a <= b for a, b in zip(v, w))
     ]
 
 
 def triangulate(X, trunc_dim=None):
-    """Left extension of [1]^n -> (interval simplicial set)^n along cells."""
+    """Left extension of [1]^n -> (interval simplicial set)^n along cells.
+
+    The node (k, n, x, s), s the si-th chain of chains[n][k] and x the
+    xi-th n-cell, is the int start[n] + xi * block[n] + koff[n][k] + si:
+    creation order.  Each cubical generator is evaluated on every chain
+    once, not once per cell; labels are built for class roots only."""
     if X.site != "cubical":
         raise ValueError("triangulation takes a cubical presheaf")
     if trunc_dim is None:
         trunc_dim = X.trunc_dim
     D = trunc_dim
-    order = {}
-    chain_cache = {(n, k): _chains(n, k) for n in range(X.trunc_dim + 1) for k in range(D + 1)}
+    chains = {n: [_chains(n, k) for k in range(D + 1)] for n in X.dims()}
+    chain_at = {
+        n: [{s: i for i, s in enumerate(cs)} for cs in chains[n]]
+        for n in X.dims()
+    }
+    koff, block, start = {}, {}, {}
+    total = 0
     for n in X.dims():
-        for x in X.cells[n]:
-            for k in range(D + 1):
-                for s in chain_cache[(n, k)]:
-                    order[(k, n, x, s)] = len(order)
-    nodes = list(order)
-    classes = _UnionFind()  # over creation-order ints
-    find = classes.find
-
+        koff[n] = list(itertools.accumulate(map(len, chains[n]), initial=0))
+        block[n] = koff[n][-1]
+        start[n] = total
+        total += len(X.cells[n]) * block[n]
+    classes = _UnionFind()
+    union = classes.union
     for n in X.dims():
         for key, g in st.CUBICAL.generators(n, X.trunc_dim):
             a = g.source_dim
-            table = X.action[(key, n)]
-            for x, t in zip(X.cells[n], table):
-                y = X.cells[a][t]
-                for k in range(D + 1):
-                    for s in chain_cache[(a, k)]:
-                        gs = tuple(g.evaluate(v) for v in s)
-                        classes.union(order[(k, a, y, s)], order[(k, n, x, gs)])
+            # (offset of a chain s in a block of a, offset of g . s in a
+            # block of n)
+            pairs = [
+                (koff[a][k] + si,
+                 koff[n][k] + chain_at[n][k][tuple(map(g.evaluate, s))])
+                for k in range(D + 1)
+                for si, s in enumerate(chains[a][k])
+            ]
+            for xi, t in enumerate(X.action[(key, n)]):
+                y0 = start[a] + t * block[a]
+                x0 = start[n] + xi * block[n]
+                for oa, on in pairs:
+                    union(y0 + oa, x0 + on)
 
     # each class is named by its earliest node, so the roots in creation
     # order are the cells in stored order
+    find = classes.find
     cells = {k: [] for k in range(D + 1)}
-    for j, node in enumerate(nodes):
-        if find(j) == j:
-            cells[node[0]].append(node)
+    label = {}  # root node -> its cell
+    node = 0
+    for n in X.dims():
+        for x in X.cells[n]:
+            for k in range(D + 1):
+                for s in chains[n][k]:
+                    if find(node) == node:
+                        label[node] = (k, n, x, s)
+                        cells[k].append(label[node])
+                    node += 1
 
     def image(key, g, cell):
         _, n, x, s = cell
-        face = (g.source_dim, n, x, tuple(s[v] for v in g.values))
-        return nodes[find(order[face])]
+        a = g.source_dim
+        face = chain_at[n][a][tuple(s[v] for v in g.values)]
+        return label[find(
+            start[n] + X.cell_index(n, x) * block[n] + koff[n][a] + face)]
 
     return _from_images("simplicial", D, cells, image)

@@ -431,6 +431,7 @@ def _ordered_blockings(used: tuple):
     return out
 
 
+@lru_cache(maxsize=None)
 def all_cube_epis(m: int, n: int):
     return tuple(f for f in all_cube_morphisms(m, n) if cube_is_epi_type(f))
 

@@ -12,12 +12,14 @@ map.
 
 from __future__ import annotations
 
+import operator
+
 from . import site as st
 from .presheaf import (
     _SITE_KINDS,
     FinitePresheaf,
     PresheafMap,
-    _cube_nonconst,
+    _cell_signature,
     _from_images,
     _open_cell_indices,
     _standard_keep,
@@ -135,30 +137,41 @@ def coskeleton_map(f, n, out_dim=None):
 # skeletal identities on standard inclusions
 
 
-def _simplex_root_dim(c):
-    return len(set(c.values)) - 1
-
-
-def _sk(site_name, m, sets):
-    rd = _cube_nonconst if site_name == "cubical" else _simplex_root_dim
-    return {j: {c for c in cs if rd(c) <= m} for j, cs in sets.items()}
-
-
-def _kept(sets, keep):
-    return {j: {c for c in cs if keep(c)} for j, cs in sets.items()}
+def _root_dim(site_name, k, s):
+    """The dimension of the nondegenerate root of a morphism into the
+    standard k-cell, read from its signature (_cell_signature)."""
+    if site_name == "cubical":
+        return k - s.bit_count()
+    return s.bit_count() - 1
 
 
 def verify_skeletal_identities(site_name, n, k_max):
     """Check the sk_{n+1} identities on boundary and horn/open-box
-    inclusions for all k <= k_max; returns a list of case reports."""
+    inclusions for all k <= k_max; returns a list of case reports.
+
+    A set of morphisms into the standard k-cell is one 0/1 byte per
+    morphism of all_morphisms(j, k), j = 0..k in turn; each morphism's
+    signature and root dimension are computed once per k."""
     _, boundary, open_kind = _SITE_KINDS[site_name]
     ops = st.site_ops(site_name)
     m = n + 1
     cases = []
     for k in range(1, k_max + 1):
-        full = {j: set(ops.all_morphisms(j, k)) for j in range(k + 1)}
-        bd = _kept(full, _standard_keep(boundary, k))
-        skf, skb = _sk(site_name, m, full), _sk(site_name, m, bd)
+        sigs = [
+            _cell_signature(c) for j in range(k + 1)
+            for c in ops.all_morphisms(j, k)
+        ]
+        low = bytes(_root_dim(site_name, k, s) <= m for s in sigs)
+
+        def kept(kind, i=None, eps=None):
+            return bytes(map(_standard_keep(kind, k, i, eps), sigs))
+
+        def sk(cells):
+            return bytes(map(operator.and_, cells, low))
+
+        full = bytes([1]) * len(sigs)
+        bd = kept(boundary)
+        skf, skb = sk(full), sk(bd)
         if k <= n + 1:
             ok = skb == bd and skf == full
             expect = "itself"
@@ -170,8 +183,8 @@ def verify_skeletal_identities(site_name, n, k_max):
              "expected": expect, "ok": ok}
         )
         for i, eps in _open_cell_indices(site_name, k):
-            box = _kept(full, _standard_keep(open_kind, k, i, eps))
-            skx = _sk(site_name, m, box)
+            box = kept(open_kind, i, eps)
+            skx = sk(box)
             if k <= n + 1:
                 ok = skx == box and skf == full
                 expect = "itself"

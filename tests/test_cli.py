@@ -108,6 +108,16 @@ def test_check_rlp(files, capsys):
     assert json.loads(out)["holds"] is False
 
 
+def test_check_rlp_rejects_a_map_onto_no_cell(files, tmp_path, capsys):
+    data = json.loads(open(files["terminal.json"]).read())
+    data["components"] = {d: [-1] * len(v)
+                          for d, v in data["components"].items()}
+    path = tmp_path / "wrapped.json"
+    path.write_text(json.dumps(data))
+    code, _ = run(["check-rlp", "--map", str(path), "--n", "0"], capsys)
+    assert code == 2
+
+
 def test_triangulate_and_product(files, tmp_path, capsys):
     out_path = str(tmp_path / "tri.json")
     code, out = run(

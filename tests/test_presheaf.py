@@ -195,6 +195,25 @@ def test_map_json_round_trip():
     assert ps.map_to_json(g) == data
 
 
+@pytest.mark.parametrize("bad", ["negative", "bool", "long"])
+def test_map_from_json_rejects_images_that_are_no_cell(bad):
+    """-1 would wrap around to the last cell and True would read as 1; a
+    component longer than the source's cells has no cell to send."""
+    from cubigraph import lifting as lf
+
+    data = ps.map_to_json(lf.terminal_map(ps.representable("cubical", 1, 2)))
+    images = data["components"]["1"]
+    if bad == "negative":
+        data["components"] = {d: [-1] * len(v)
+                              for d, v in data["components"].items()}
+    elif bad == "bool":
+        images[0] = True
+    else:
+        images.append(0)
+    with pytest.raises(ValueError):
+        ps.map_from_json(data)
+
+
 def test_random_presheaf_is_valid():
     rng = random.Random(3)
     for site in ("cubical", "simplicial"):

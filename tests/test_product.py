@@ -1,9 +1,12 @@
 """Geometric product, cylinders, and triangulation."""
 
+import random
+
 import pytest
 
 from cubigraph import presheaf as ps
 from cubigraph import product as pr
+from cubigraph import site as st
 
 
 def test_product_of_intervals_is_square():
@@ -74,3 +77,123 @@ def test_triangulate_rejects_simplicial_input():
     tri = ps.representable("simplicial", 1, 1)
     with pytest.raises(ValueError):
         pr.triangulate(tri)
+
+
+# the label-keyed constructions, kept as the oracles of the index-keyed
+# ones: every cell is a label, every image is computed per cell and found
+# by its label
+
+
+def _oracle_split_face(mono, p):
+    left, right = [], []
+    seen_vars = 0
+    for j, t in enumerate(mono.coords):
+        slot = left if j < p else right
+        if t[0] == "c":
+            slot.append(t)
+        else:
+            seen_vars += 1
+            slot.append(("v", seen_vars))
+    r1 = sum(1 for t in left if t[0] != "c")
+    right = [t if t[0] == "c" else ("v", t[1] - r1) for t in right]
+    return (st.CubeMorphism(r1, tuple(left)),
+            st.CubeMorphism(mono.source_dim - r1, tuple(right)))
+
+
+def _oracle_normalize(X, Y, p, x, q, y, f):
+    mono, epi = st.cube_mono_epi(f)
+    m1, m2 = _oracle_split_face(mono, p)
+    x1 = X.act(x, p, m1) if not m1.is_identity() else x
+    y1 = Y.act(y, q, m2) if not m2.is_identity() else y
+    x0, p0, e1 = X.root(x1, m1.source_dim)
+    y0, q0, e2 = Y.root(y1, m2.source_dim)
+    e = st.cube_compose(st.cube_tensor(e1, e2), epi)
+    return ((p0, x0), (q0, y0), e)
+
+
+def _oracle_product(X, Y, trunc_dim):
+    cells = {}
+    for n in range(trunc_dim + 1):
+        cells[n] = tuple(
+            ((p, x), (q, y), e)
+            for p in range(min(n, X.trunc_dim) + 1)
+            for q in range(min(n - p, Y.trunc_dim) + 1)
+            for x in X.nondeg(p)
+            for y in Y.nondeg(q)
+            for e in st.all_cube_morphisms(n, p + q)
+            if st.cube_is_epi_type(e)
+        )
+
+    def image(key, g, cell):
+        (p, x), (q, y), e = cell
+        return _oracle_normalize(X, Y, p, x, q, y, st.cube_compose(e, g))
+
+    return ps._from_images("cubical", trunc_dim, cells, image)
+
+
+def _oracle_triangulate(X):
+    D = X.trunc_dim
+    chains = {(n, k): pr._chains(n, k) for n in X.dims() for k in X.dims()}
+    order = {}
+    for n in X.dims():
+        for x in X.cells[n]:
+            for k in range(D + 1):
+                for s in chains[(n, k)]:
+                    order[(k, n, x, s)] = len(order)
+    nodes = list(order)
+    classes = ps._UnionFind()
+    for n in X.dims():
+        for key, g in st.CUBICAL.generators(n, D):
+            a = g.source_dim
+            for x in X.cells[n]:
+                y = X.act_gen(key, n, x)
+                for k in range(D + 1):
+                    for s in chains[(a, k)]:
+                        gs = tuple(g.evaluate(v) for v in s)
+                        classes.union(order[(k, a, y, s)], order[(k, n, x, gs)])
+    cells = {k: [] for k in range(D + 1)}
+    for j, node in enumerate(nodes):
+        if classes.find(j) == j:
+            cells[node[0]].append(node)
+
+    def image(key, g, cell):
+        _, n, x, s = cell
+        face = (g.source_dim, n, x, tuple(s[v] for v in g.values))
+        return nodes[classes.find(order[face])]
+
+    return ps._from_images("simplicial", D, cells, image)
+
+
+def _oracle_inputs():
+    out = [ps.build_standard(kind, k, i, eps, trunc_dim=3).realized
+           for kind, k, i, eps in [
+               ("cube", 0, None, None), ("cube", 1, None, None),
+               ("cube", 2, None, None), ("cube", 3, None, None),
+               ("boundary_cube", 2, None, None), ("open_box", 2, 1, 0)]]
+    rng = random.Random(7)
+    out += [ps.random_presheaf("cubical", rng.choice((1, 2)), rng,
+                               max_nondeg=10) for _ in range(6)]
+    return out
+
+
+def _same(A, B):
+    assert A.to_json() == B.to_json()
+    assert A.cells == B.cells
+
+
+def test_triangulate_agrees_with_label_oracle():
+    for X in _oracle_inputs():
+        _same(pr.triangulate(X), _oracle_triangulate(X))
+
+
+def test_geometric_product_agrees_with_label_oracle():
+    edge = ps.build_standard("cube", 1, trunc_dim=2).realized
+    boundary = ps.build_standard("boundary_cube", 2, trunc_dim=2).realized
+    square = ps.build_standard("cube", 2, trunc_dim=3).realized
+    _same(pr.geometric_product(square, edge, 4),
+          _oracle_product(square, edge, 4))
+    for X in _oracle_inputs():
+        for Y in (edge, boundary, X):
+            td = min(X.trunc_dim + Y.trunc_dim, 3)
+            _same(pr.geometric_product(X, Y, td),
+                  _oracle_product(X, Y, td))

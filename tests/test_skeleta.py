@@ -18,9 +18,9 @@ def test_skeletal_identities(site, n):
 
 @pytest.mark.parametrize("site", ["cubical", "simplicial"])
 def test_set_level_skeleton_agrees_with_skeleton(site):
-    """verify_skeletal_identities takes sk_m of a standard cell's morphism
-    sets by root dimension (_cube_nonconst, _simplex_root_dim); skeleton()
-    and FinitePresheaf.root are the oracle."""
+    """verify_skeletal_identities reads a standard cell's morphism sets and
+    their root dimensions from signatures (_cell_signature, _root_dim);
+    skeleton() and FinitePresheaf.root are the oracle."""
     cell, boundary, open_kind = ps._SITE_KINDS[site]
     ops = st.site_ops(site)
     D = 3
@@ -31,15 +31,114 @@ def test_set_level_skeleton_agrees_with_skeleton(site):
                        for i, eps in ps._open_cell_indices(site, k)]
         for kind, i, eps in params:
             keep = ps._standard_keep(kind, k, i, eps)
-            sets = {j: {c for c in ops.all_morphisms(j, k) if keep(c)}
+            sigs = {j: {c: ps._cell_signature(c)
+                        for c in ops.all_morphisms(j, k)}
                     for j in range(D + 1)}
             X = ps.build_standard(kind, k, i, eps, trunc_dim=D).realized
-            assert sets == {j: set(X.cells[j]) for j in X.dims()}
+            assert {j: {c for c, s in sigs[j].items() if keep(s)}
+                    for j in sigs} == {j: set(X.cells[j]) for j in X.dims()}
+            for j in X.dims():
+                for c in X.cells[j]:
+                    assert sk._root_dim(site, k, sigs[j][c]) == X.root(c, j)[1]
             for m in range(3):
                 S, _ = sk.skeleton(X, m)
-                assert sk._sk(site, m, sets) == {
-                    j: set(S.cells[j]) for j in S.dims()
-                }, (kind, k, i, eps, m)
+                assert {
+                    j: {c for c, s in sigs[j].items()
+                        if keep(s) and sk._root_dim(site, k, s) <= m}
+                    for j in sigs
+                } == {j: set(S.cells[j]) for j in S.dims()}, (kind, k, i, eps, m)
+
+
+# the set-of-morphisms identity check, kept as the oracle of the
+# signature-based one
+
+
+def _oracle_const_slots(c):
+    return {(i + 1, t[1]) for i, t in enumerate(c.coords) if t[0] == "c"}
+
+
+def _oracle_keep(kind, k, i=None, eps=None):
+    if kind in ("cube", "simplex"):
+        return lambda c: True
+    if kind == "boundary_cube":
+        return lambda c: bool(_oracle_const_slots(c))
+    if kind == "boundary_simplex":
+        return lambda c: len(set(c.values)) <= k
+    if kind == "open_box":
+        return lambda c: bool(_oracle_const_slots(c) - {(i, eps)})
+    others = set(range(k + 1)) - {i}
+    return lambda c: bool(others - set(c.values))
+
+
+def _oracle_root_dim(c):
+    if isinstance(c, st.CubeMorphism):
+        return sum(1 for t in c.coords if t[0] != "c")
+    return len(set(c.values)) - 1
+
+
+def _oracle_identities(site, n, k_max):
+    _, boundary, open_kind = ps._SITE_KINDS[site]
+    ops = st.site_ops(site)
+    m = n + 1
+
+    def sk_m(sets):
+        return {j: {c for c in cs if _oracle_root_dim(c) <= m}
+                for j, cs in sets.items()}
+
+    def kept(sets, keep):
+        return {j: {c for c in cs if keep(c)} for j, cs in sets.items()}
+
+    cases = []
+    for k in range(1, k_max + 1):
+        full = {j: set(ops.all_morphisms(j, k)) for j in range(k + 1)}
+        bd = kept(full, _oracle_keep(boundary, k))
+        skf, skb = sk_m(full), sk_m(bd)
+        if k <= n + 1:
+            ok, expect = skb == bd and skf == full, "itself"
+        else:
+            ok, expect = skb == skf, "identity"
+        cases.append({"kind": "boundary", "k": k, "i": None, "eps": None,
+                      "expected": expect, "ok": ok})
+        for i, eps in ps._open_cell_indices(site, k):
+            box = kept(full, _oracle_keep(open_kind, k, i, eps))
+            skx = sk_m(box)
+            if k <= n + 1:
+                ok, expect = skx == box and skf == full, "itself"
+            elif k == n + 2:
+                ok, expect = skx == box and skf == bd, "into boundary"
+            else:
+                ok, expect = skx == skf, "identity"
+            cases.append({"kind": open_kind, "k": k, "i": i, "eps": eps,
+                          "expected": expect, "ok": ok})
+    return cases
+
+
+@pytest.mark.parametrize("site", ["cubical", "simplicial"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_skeletal_identities_agree_with_set_oracle(site, n):
+    assert sk.verify_skeletal_identities(site, n, n + 3) == \
+        _oracle_identities(site, n, n + 3)
+
+
+@pytest.mark.parametrize("site", ["cubical", "simplicial"])
+@pytest.mark.parametrize("fault", ["root_dim", "boundary"])
+def test_skeletal_identities_can_fail(site, fault, monkeypatch):
+    """A wrong root dimension or a wrong boundary predicate shows as a
+    failed row."""
+    if fault == "root_dim":
+        real = sk._root_dim
+        monkeypatch.setattr(sk, "_root_dim",
+                            lambda site, k, s: real(site, k, s) + 1)
+    else:
+        real = sk._standard_keep
+        boundary = ps._SITE_KINDS[site][1]
+        monkeypatch.setattr(
+            sk, "_standard_keep",
+            lambda kind, k, i=None, eps=None: (lambda s: False)
+            if kind == boundary else real(kind, k, i, eps))
+    for n in (0, 1):
+        rows = sk.verify_skeletal_identities(site, n, n + 3)
+        assert not all(row["ok"] for row in rows), (fault, n)
 
 
 def test_skeleton_of_square():
