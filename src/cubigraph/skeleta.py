@@ -152,7 +152,7 @@ def verify_skeletal_identities(site_name, n, k_max):
     A set of morphisms into the standard k-cell is one 0/1 byte per
     morphism of all_morphisms(j, k), j = 0..k in turn; each morphism's
     signature and root dimension are computed once per k."""
-    _, boundary, open_kind = _SITE_KINDS[site_name]
+    cell, boundary, open_kind = _SITE_KINDS[site_name]
     ops = st.site_ops(site_name)
     m = n + 1
     cases = []
@@ -169,7 +169,7 @@ def verify_skeletal_identities(site_name, n, k_max):
         def sk(cells):
             return bytes(map(operator.and_, cells, low))
 
-        full = bytes([1]) * len(sigs)
+        full = kept(cell)
         bd = kept(boundary)
         skf, skb = sk(full), sk(bd)
         if k <= n + 1:
