@@ -66,7 +66,9 @@ def geometric_product(X, Y, trunc_dim=None):
         trunc_dim = min(X.trunc_dim + Y.trunc_dim, max(X.trunc_dim, Y.trunc_dim) + 2)
     ndx, rootx = _nondeg_roots(X)
     ndy, rooty = _nondeg_roots(Y)
-    blocks, first, cells = {}, {}, {}
+    # n -> its blocks (p, q, epis); the index of a block's first cell; and
+    # per (n, r) the index of each epi [1]^n -> [1]^r
+    blocks, first, epi_at, cells = {}, {}, {}, {}
     for n in range(trunc_dim + 1):
         blocks[n], out = [], []
         for p in range(min(n, X.trunc_dim) + 1):
@@ -74,13 +76,13 @@ def geometric_product(X, Y, trunc_dim=None):
                 epis = st.all_cube_epis(n, p + q)
                 blocks[n].append((p, q, epis))
                 first[(n, p, q)] = len(out)
+                epi_at[(n, p + q)] = {e: i for i, e in enumerate(epis)}
                 for x in ndx[p]:
                     for y in ndy[q]:
                         for e in epis:
                             out.append(((p, X.cells[p][x]), (q, Y.cells[q][y]), e))
         cells[n] = tuple(out)
 
-    epi_at = {}  # (n, r) -> epi [1]^n -> [1]^r -> its index
     # (e1, e2, epi) -> (base, x stride, y stride): the re-rooted cell of
     # the nondegenerate x and y at positions i and j is base + i*xs + j*ys
     glued = {}
@@ -88,13 +90,8 @@ def geometric_product(X, Y, trunc_dim=None):
     def glue(e1, e2, epi):
         e = cube_compose(cube_tensor(e1, e2), epi)
         n, p, q = e.source_dim, e1.target_dim, e2.target_dim
-        at = epi_at.get((n, p + q))
-        if at is None:
-            at = epi_at[(n, p + q)] = {
-                f: i for i, f in enumerate(st.all_cube_epis(n, p + q))
-            }
-        size = len(at)
-        return first[(n, p, q)] + at[e], len(ndy[q]) * size, size
+        at = epi_at[(n, p + q)]
+        return first[(n, p, q)] + at[e], len(ndy[q]) * len(at), len(at)
 
     action = {}
     for n in range(trunc_dim + 1):
