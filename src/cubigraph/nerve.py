@@ -8,7 +8,10 @@ least M at which clamping reproduces the whole map (the trimmed normal
 form); evaluation outside the grid clamps coordinates.  Operators follow
 the grid formulas: faces freeze a coordinate at (2*eps-1)*M, degeneracies
 drop a coordinate, connections merge two coordinates by max (eps = 0) or
-min (eps = 1); results are re-trimmed.
+min (eps = 1).  Every point of the result grid lands on a point of the
+source grid at the same support, so each operator is one index gather on a
+table compiled once per (generator, k, M); results are re-trimmed by a
+per-(k, M) table of each boundary point's clamp one step in.
 
 The bounded fibration check poses open-box lifting problems directly as
 grid constraint problems, with explicit three-valued verdicts; a filler
@@ -22,8 +25,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
-from . import site as st
 from .presheaf import PresheafMap, _from_images
 
 
@@ -52,6 +55,23 @@ def _clamp(t, M):
     return tuple(max(-M, min(M, x)) for x in t)
 
 
+def _index(t, M):
+    """The position of the point t of [-M, M]^k in _grid(M, k)."""
+    idx = 0
+    W = 2 * M + 1
+    for x in t:
+        idx = idx * W + (x + M)
+    return idx
+
+
+def _take(idx):
+    """A function picking the entries at positions idx out of a tuple, as a
+    tuple (itemgetter returns a bare entry for one position)."""
+    if len(idx) >= 2:
+        return itemgetter(*idx)
+    return lambda values: tuple(values[j] for j in idx)
+
+
 @dataclass(frozen=True)
 class StableCube:
     dim: int
@@ -59,12 +79,7 @@ class StableCube:
     values: tuple  # aligned with _grid(support, dim)
 
     def value(self, t):
-        g = _clamp(t, self.support)
-        idx = 0
-        W = 2 * self.support + 1
-        for x in g:
-            idx = idx * W + (x + self.support)
-        return self.values[idx]
+        return self.values[_index(_clamp(t, self.support), self.support)]
 
     def to_json(self):
         return {
@@ -86,78 +101,89 @@ class StableCube:
         return make_cube(k, M, lambda t: table[t])
 
 
+@lru_cache(maxsize=256)
+def _trim_table(k, M):
+    """For M > 0, three gathers on values over [-M, M]^k: the boundary
+    points, their clamps into [-(M-1), M-1]^k, and that inner grid."""
+    points = _grid(M, k)
+    outer = [j for j, t in enumerate(points) if any(abs(x) == M for x in t)]
+    return (
+        _take(outer),
+        _take([_index(_clamp(points[j], M - 1), M) for j in outer]),
+        _take([_index(t, M) for t in _grid(M - 1, k)]),
+    )
+
+
+def _trimmed(k, M, values):
+    """The trimmed StableCube of values given on [-M, M]^k in grid order:
+    shrink the support while every boundary value equals the value at its
+    clamp one step in."""
+    while M > 0:
+        outer, clamped, inner = _trim_table(k, M)
+        if outer(values) != clamped(values):
+            break
+        values = inner(values)
+        M -= 1
+    return StableCube(k, M, values)
+
+
 def make_cube(k, M, func):
     """Build the trimmed StableCube for values given on [-M, M]^k."""
-    table = {t: func(t) for t in _grid(M, k)}
-    while M > 0:
-        inner = M - 1
-        if all(table[t] == table[_clamp(t, inner)] for t in _grid(M, k)):
-            table = {t: table[t] for t in _grid(inner, k)}
-            M = inner
-        else:
-            break
-    return StableCube(k, M, tuple(table[t] for t in _grid(M, k)))
+    return _trimmed(k, M, tuple(map(func, _grid(M, k))))
 
 
 def constant_cube(k, vertex):
     return StableCube(k, 0, (vertex,))
 
 
+@lru_cache(maxsize=64)
+def _grid_edges(k, M):
+    """The box-adjacent index pairs (a, b), a < b, of _grid(M, k)."""
+    _, nbrs, _ = _shape(tuple(_grid(M, k)))
+    return tuple((a, b) for a, ns in enumerate(nbrs) for b in ns if a < b)
+
+
 def is_cube_of(c, graph):
     """Check the stable-cube invariant against a graph: values on the grid
     form a graph map for the box adjacency."""
-    M, k = c.support, c.dim
-    for t in _grid(M, k):
-        v = c.value(t)
-        if v not in graph.adj:
-            return False
-        for axis in range(k):
-            if t[axis] < M:
-                s = t[:axis] + (t[axis] + 1,) + t[axis + 1:]
-                if not graph.adjacent(v, c.value(s)):
-                    return False
-    return True
+    vals = c.values
+    edges = _grid_edges(c.dim, c.support)
+    return all(v in graph.adj for v in vals) and all(
+        graph.adjacent(vals[a], vals[b]) for a, b in edges
+    )
 
 
-def _apply_generator(c, key):
-    k, M = c.dim, c.support
-    kind = key[0]
+def _source_point(key, t, M):
+    """The point of the source grid whose value generator key puts at the
+    point t of the result grid, both at support M.
+
+    Faces freeze coordinate i at (2*eps-1)*M, degeneracies drop coordinate
+    i, and connections merge coordinates i, i+1 by max (eps = 0) or min
+    (eps = 1); none leaves [-M, M], so no point needs clamping.
+    """
+    kind, i = key[0], key[1]
     if kind == "face":
-        _, i, eps = key
-        frozen = (2 * eps - 1) * M
-
-        def f(t):
-            return c.value(t[: i - 1] + (frozen,) + t[i - 1:])
-
-        return make_cube(k - 1, M, f)
+        return t[: i - 1] + ((2 * key[2] - 1) * M,) + t[i - 1:]
     if kind == "deg":
-        _, i = key
-
-        def f(t):
-            return c.value(t[: i - 1] + t[i:])
-
-        return make_cube(k + 1, M, f)
+        return t[: i - 1] + t[i:]
     if kind == "conn":
-        _, i, eps = key
-        op = max if eps == 0 else min
-
-        def f(t):
-            merged = op(t[i - 1], t[i])
-            return c.value(t[: i - 1] + (merged,) + t[i + 1:])
-
-        return make_cube(k + 1, M, f)
+        op = max if key[2] == 0 else min
+        return t[: i - 1] + (op(t[i - 1], t[i]),) + t[i + 1:]
     raise ValueError(f"unknown generator {key!r}")
 
 
-def nerve_operator(c, m):
-    """Act on a stable cube by an arbitrary cube-category morphism
-    m: [1]^a -> [1]^{c.dim}, via generator factorization."""
-    if m.target_dim != c.dim:
-        raise ValueError("dimension mismatch")
-    cur = c
-    for (key, _), _ in st.CUBICAL.factor_keys(m):
-        cur = _apply_generator(cur, key)
-    return cur
+@lru_cache(maxsize=512)
+def _generator_gather(key, k, M):
+    """The result dimension of generator key on a k-cube of support M, and
+    the gather taking the cube's values to the result's on [-M, M]^dim."""
+    dim = k - 1 if key[0] == "face" else k + 1
+    return dim, _take([_index(_source_point(key, t, M), M)
+                       for t in _grid(M, dim)])
+
+
+def _apply_generator(c, key):
+    dim, gather = _generator_gather(key, c.dim, c.support)
+    return _trimmed(dim, c.support, gather(c.values))
 
 
 def enumerate_cubes(X, k, M_max, budget=None):
@@ -168,7 +194,7 @@ def enumerate_cubes(X, k, M_max, budget=None):
     for M in range(M_max + 1):
         points = _grid(M, k)
         for table in _labelings(X, points, {}, budget=budget):
-            c = make_cube(k, M, lambda t: table[t])
+            c = _trimmed(k, M, tuple(map(table.__getitem__, points)))
             if c.support == M:
                 out.append(c)
     return out
@@ -399,13 +425,12 @@ def nerve_fragment(X, D, M_max, budget=10 ** 6):
 
 def nerve_map(f, NX, NY):
     """N(f): nerve fragment of the source to that of the target."""
-    comps = {}
-    for k in NX.dims():
-        comps[k] = {}
-        for c in NX.cells[k]:
-            comps[k][c] = make_cube(
-                k, c.support, lambda t: f.assignment[c.value(t)]
-            )
+    image = f.assignment.__getitem__
+    comps = {
+        k: {c: _trimmed(k, c.support, tuple(map(image, c.values)))
+            for c in NX.cells[k]}
+        for k in NX.dims()
+    }
     return PresheafMap(NX, NY, comps)
 
 

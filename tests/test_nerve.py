@@ -1,5 +1,6 @@
 """Stable cubes, nerve fragments, and bounded open-box lifting."""
 
+import functools
 import itertools
 import math
 import random
@@ -78,23 +79,197 @@ def test_operators_land_in_the_graph():
             assert nv.is_cube_of(nv._apply_generator(c, key), C3)
 
 
+def _grid_term(t, s, M):
+    """A coordinate term of a cube morphism evaluated on the grid point s,
+    in the convention of the nerve's operators: constant eps is
+    (2*eps-1)*M, a variable reads its coordinate of s, and max/min nodes
+    take the grid's max/min."""
+    if t[0] == "c":
+        return (2 * t[1] - 1) * M
+    if t[0] == "v":
+        return s[t[1] - 1]
+    vals = [_grid_term(ch, s, M) for ch in t[1]]
+    return max(vals) if t[0] == "max" else min(vals)
+
+
 def test_nerve_operator_respects_composition():
     from cubigraph import site as st
 
     C3 = gr.cycle(3)
-    cubes = nv.enumerate_cubes(C3, 2, 1)
-    for c in cubes[:10]:
+    N = nv.nerve_fragment(C3, 2, 1)
+    # every tenth of the 19,683 2-cubes; the first is the support-0 cube 0
+    cubes = N.cells[2][::10]
+    # pointwise: acting by m through the composed generator tables and then
+    # evaluating equals evaluating c at m's coordinate terms, on a grid one
+    # step past the support, so clamping is checked too
+    for c in cubes:
+        M = c.support
         for m in st.all_cube_morphisms(1, 2):
-            res = nv.nerve_operator(c, m)
-            # pointwise: acting then evaluating equals evaluating the
-            # composite grid point (cube morphisms extend to grids by
-            # min/max/constants over the clamped cube)
-            assert nv.is_cube_of(res, C3)
+            res = N.act(c, 2, m)
+            for s in nv._grid(M + 1, 1):
+                at = tuple(_grid_term(t, s, M) for t in m.coords)
+                assert res.value(s) == c.value(at), (c, m, s)
     # face then degeneracy is the identity on every cube
-    for c in cubes[:10]:
+    for c in cubes:
         d = nv._apply_generator(c, ("deg", 1))
         back = nv._apply_generator(d, ("face", 1, 0))
         assert back == c
+
+
+def _oracle_clamp(x, M):
+    return x if -M <= x <= M else (M if x > M else -M)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_grid(M, k):
+    return tuple(nv._grid(M, k))
+
+
+def _oracle_value(c, t):
+    """Oracle: a stable cube's value at any point, by clamping."""
+    M = c.support
+    idx = 0
+    for x in t:
+        idx = idx * (2 * M + 1) + _oracle_clamp(x, M) + M
+    return c.values[idx]
+
+
+def _oracle_make_cube(k, M, func):
+    """Oracle: trim a table of values on [-M, M]^k one step at a time
+    through a point-keyed dict."""
+    table = {t: func(t) for t in _oracle_grid(M, k)}
+    while M > 0:
+        inner = M - 1
+        if all(table[t] == table[tuple(_oracle_clamp(x, inner) for x in t)]
+               for t in _oracle_grid(M, k)):
+            table = {t: table[t] for t in _oracle_grid(inner, k)}
+            M = inner
+        else:
+            break
+    return nv.StableCube(k, M, tuple(table[t] for t in _oracle_grid(M, k)))
+
+
+def _oracle_apply_generator(c, key):
+    """Oracle: a generator as a closure evaluating the cube one point at a
+    time, then trimmed."""
+    k, M = c.dim, c.support
+    kind = key[0]
+    if kind == "face":
+        _, i, eps = key
+        frozen = (2 * eps - 1) * M
+        return _oracle_make_cube(k - 1, M, lambda t: _oracle_value(
+            c, t[: i - 1] + (frozen,) + t[i - 1:]))
+    if kind == "deg":
+        _, i = key
+        return _oracle_make_cube(k + 1, M, lambda t: _oracle_value(
+            c, t[: i - 1] + t[i:]))
+    _, i, eps = key
+    op = max if eps == 0 else min
+    return _oracle_make_cube(k + 1, M, lambda t: _oracle_value(
+        c, t[: i - 1] + (op(t[i - 1], t[i]),) + t[i + 1:]))
+
+
+def _oracle_is_cube_of(c, graph):
+    """Oracle: the graph-map check along each axis of the grid."""
+    M, k = c.support, c.dim
+    for t in _oracle_grid(M, k):
+        v = _oracle_value(c, t)
+        if v not in graph.adj:
+            return False
+        for axis in range(k):
+            if t[axis] < M:
+                s = t[:axis] + (t[axis] + 1,) + t[axis + 1:]
+                if not graph.adjacent(v, _oracle_value(c, s)):
+                    return False
+    return True
+
+
+def test_operators_agree_with_the_closure_oracle():
+    """Gathered operators, table trimming, nerve_map and is_cube_of against
+    the point-at-a-time oracles, on every stable cube of C3, C4, C5 and
+    I1xI1 with k <= 2 at support <= 1 and k <= 1 at support 2, and every
+    generator key."""
+    from cubigraph import site as st
+
+    I1 = gr.interval(1)
+    rng = random.Random(11)
+    cases = [
+        (gr.cycle(3), {0: 0, 1: 1, 2: 1}),
+        (gr.cycle(4), {0: 0, 1: 0, 2: 1, 3: 1}),
+        (gr.cycle(5), {0: 0, 1: 1, 2: 0, 3: 1, 4: 1}),
+        (gr.box_product(I1, I1), {v: v[0] for v in
+                                  gr.box_product(I1, I1).vertices}),
+    ]
+    checked = 0
+    for G, assignment in cases:
+        f = gr.GraphMap(G, I1, assignment)
+        verts = list(G.vertices)
+        for D, M in [(2, 1), (1, 2)]:
+            N = nv.nerve_fragment(G, D, M, budget=10 ** 7)
+            Nf = nv.nerve_map(f, N, nv.nerve_fragment(I1, D, M))
+            for k in N.dims():
+                keys = [key for key, _ in st.CUBICAL.generators(k, k + 1)]
+                for c in N.cells[k]:
+                    for key in keys:
+                        assert nv._apply_generator(c, key) == \
+                            _oracle_apply_generator(c, key), (c, key)
+                    assert Nf.components[k][c] == _oracle_make_cube(
+                        k, c.support,
+                        lambda t: assignment[_oracle_value(c, t)])
+                    assert nv.make_cube(k, M, lambda t: _oracle_value(
+                        c, t)) == c
+                    assert nv.is_cube_of(c, G)
+                    # one value changed, to a vertex or to no vertex
+                    vals = list(c.values)
+                    vals[rng.randrange(len(vals))] = rng.choice(verts + [-1])
+                    bent = nv.StableCube(k, c.support, tuple(vals))
+                    assert nv.is_cube_of(bent, G) == \
+                        _oracle_is_cube_of(bent, G), bent
+                    checked += 1
+    assert checked == 48704
+
+
+def test_is_cube_of_rejects_non_maps():
+    C4 = gr.cycle(4)
+    square = nv.make_cube(2, 1, lambda t: {-1: 0, 0: 1, 1: 2}[t[0]])
+    assert nv.is_cube_of(square, C4)
+    # one neighbouring pair 0, 2 that C4 does not join
+    jump = list(square.values)
+    jump[nv._index((0, 0), 1)] = 2
+    assert not nv.is_cube_of(nv.StableCube(2, 1, tuple(jump)), C4)
+    # one value that is no vertex
+    alien = list(square.values)
+    alien[nv._index((1, 1), 1)] = 9
+    assert not nv.is_cube_of(nv.StableCube(2, 1, tuple(alien)), C4)
+
+
+def test_nerve_json_is_pinned():
+    """sha256 prefixes of nerve_fragment and nerve_map JSON (independent
+    of the hash seed); they move with any change to cell order, trimming
+    or operator tables."""
+    import hashlib
+    import json
+
+    def digest(doc):
+        text = json.dumps(doc, sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+    I1 = gr.interval(1)
+    I1xI1 = gr.box_product(I1, I1)
+    cases = [
+        (gr.cycle(4), 2, 1, {0: 0, 1: 0, 2: 1, 3: 1},
+         "627365fc645f", "57545846b0fc"),
+        (gr.cycle(5), 1, 2, {0: 0, 1: 1, 2: 0, 3: 1, 4: 1},
+         "6a781bf56af5", "1daa28ca9957"),
+        (I1xI1, 2, 1, {v: v[0] for v in I1xI1.vertices},
+         "fbb5919ee897", "eb3e38ee012a"),
+    ]
+    for G, D, M, assignment, frag_digest, map_digest in cases:
+        N = nv.nerve_fragment(G, D, M)
+        Nf = nv.nerve_map(gr.GraphMap(G, I1, assignment), N,
+                          nv.nerve_fragment(I1, D, M))
+        assert digest(N.to_json()) == frag_digest
+        assert digest(ps.map_to_json(Nf)) == map_digest
 
 
 def test_nerve_fragment_is_valid_presheaf():
