@@ -5,6 +5,10 @@ readable by default, machine readable with --json), and exits with:
 0 on success, 1 on a negative mathematical verdict, 2 on input errors,
 3 on budget exhaustion or an inconclusive verdict.  Inconclusive is never
 conflated with "no".
+
+Each command imports the modules it runs, and nothing else: every CLI call
+is one cold process, and a process compiles every module it imports when
+no bytecode is cached.
 """
 
 from __future__ import annotations
@@ -13,14 +17,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields
-
-from . import graphs as gr
-from . import lifting as lf
-from . import nerve as nv
-from . import pi1 as p1
-from . import presheaf as ps
-from . import product as pr
-from . import skeleta as sk
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -134,6 +130,8 @@ def _abelianization_text(rank, torsion):
 
 
 def cmd_verify_identities(args, cfg):
+    from . import skeleta as sk
+
     sites = (
         ["cubical", "simplicial"] if args.site == "both" else [args.site]
     )
@@ -156,6 +154,9 @@ def cmd_verify_identities(args, cfg):
 
 
 def cmd_check_rlp(args, cfg):
+    from . import lifting as lf
+    from . import presheaf as ps
+
     f = _load_as(ps.map_from_json, "presheaf map", args.map)
     n = args.n if args.n is not None else cfg.n
     site = f.source.site
@@ -201,6 +202,9 @@ def _level(X, args, cfg):
 
 
 def cmd_cosk(args, cfg):
+    from . import presheaf as ps
+    from . import skeleta as sk
+
     X = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.input)
     n = _level(X, args, cfg)
     C, _unit = sk.coskeleton(X, n)
@@ -209,6 +213,9 @@ def cmd_cosk(args, cfg):
 
 
 def cmd_sk(args, cfg):
+    from . import presheaf as ps
+    from . import skeleta as sk
+
     X = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.input)
     n = _level(X, args, cfg)
     S, _incl = sk.skeleton(X, n)
@@ -217,6 +224,9 @@ def cmd_sk(args, cfg):
 
 
 def cmd_triangulate(args, cfg):
+    from . import presheaf as ps
+    from . import product as pr
+
     X = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.input)
     if X.site != "cubical":
         print("error: triangulation needs a cubical input", file=sys.stderr)
@@ -226,6 +236,9 @@ def cmd_triangulate(args, cfg):
 
 
 def cmd_geometric_product(args, cfg):
+    from . import presheaf as ps
+    from . import product as pr
+
     X = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.x)
     Y = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.y)
     _emit_presheaf(pr.geometric_product(X, Y, args.trunc_dim), args)
@@ -233,6 +246,8 @@ def cmd_geometric_product(args, cfg):
 
 
 def cmd_pi0(args, cfg):
+    from . import graphs as gr
+
     X = _load_as(gr.Graph.from_json, "graph", args.graph)
     comps = gr.pi0(X)
     lines = [f"{len(comps)} components"]
@@ -246,6 +261,9 @@ def cmd_pi0(args, cfg):
 
 
 def cmd_a1(args, cfg):
+    from . import graphs as gr
+    from . import pi1 as p1
+
     X = _load_as(gr.Graph.from_json, "graph", args.graph)
     base = _vertex(args.base) if args.base is not None else X.vertices[0]
     try:
@@ -272,6 +290,9 @@ def cmd_a1(args, cfg):
 
 
 def cmd_paths_homotopic(args, cfg):
+    from . import graphs as gr
+    from . import pi1 as p1
+
     X = _load_as(gr.Graph.from_json, "graph", args.graph)
     try:
         a = p1.make_path(X, _parse_word(args.p1))
@@ -302,6 +323,9 @@ def cmd_paths_homotopic(args, cfg):
 
 
 def cmd_check_graph_fibration(args, cfg):
+    from . import graphs as gr
+    from . import nerve as nv
+
     f = _load_as(gr.GraphMap.from_json, "graph map", args.map)
     n = args.n if args.n is not None else cfg.n
     report = nv.is_graph_n_fibration_bounded(
@@ -328,6 +352,9 @@ def cmd_check_graph_fibration(args, cfg):
 
 
 def cmd_psi_check(args, cfg):
+    from . import graphs as gr
+    from . import pi1 as p1
+
     f = _load_as(gr.GraphMap.from_json, "graph map", args.f)
     g = _load_as(gr.GraphMap.from_json, "graph map", args.g)
     if (f.target.vertices != g.target.vertices
@@ -356,6 +383,9 @@ def cmd_psi_check(args, cfg):
 
 
 def cmd_nerve_stats(args, cfg):
+    from . import graphs as gr
+    from . import nerve as nv
+
     X = _load_as(gr.Graph.from_json, "graph", args.graph)
     try:
         N = nv.nerve_fragment(
@@ -367,8 +397,6 @@ def cmd_nerve_stats(args, cfg):
     except nv.BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except BrokenPipeError:
-        return EXIT_OK
     counts = {d: len(N.cells[d]) for d in N.dims()}
     nondeg = {d: len(N.nondeg(d)) for d in N.dims()}
     lines = [
@@ -383,6 +411,13 @@ def cmd_nerve_stats(args, cfg):
 
 
 def cmd_selftest(args, cfg):
+    from . import graphs as gr
+    from . import lifting as lf
+    from . import pi1 as p1
+    from . import presheaf as ps
+    from . import product as pr
+    from . import skeleta as sk
+
     n = args.n if args.n is not None else 0
     lines = []
     ok = True
@@ -537,9 +572,6 @@ def main(argv=None):
     cfg = _load_config(args.config) if args.config else RunConfig()
     try:
         return args.func(args, cfg)
-    except nv.BudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except BrokenPipeError:
         return EXIT_OK
 

@@ -27,7 +27,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphMap, pullback, pi0
-from .nerve import Budget, BudgetExceeded, _restart_labelings
 
 
 def _trim(word):
@@ -543,6 +542,10 @@ def _lift_homotopy_square(f, eta, tau_img_lift, H_layers):
     whole grid is solved as a labeling problem in the source graph over
     the prescribed image values.  Returns the right-edge path, or None.
     """
+    # imported here: nerve pulls in presheaf and site, which no other
+    # function of this module needs
+    from .nerve import Budget, BudgetExceeded, _restart_labelings
+
     X = f.source
     width = max(
         max(len(layer) for layer in H_layers),

@@ -22,7 +22,6 @@ backtracking enumerator exploits.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from . import site as st
@@ -732,24 +731,6 @@ def enumerate_maps(A, X, forced=None, injective_nondeg=False, limit=None,
 
     backtrack(0)
     return results
-
-
-def enumerate_maps_naive(A, X):
-    """Oracle: all raw per-dimension functions filtered by naturality."""
-    dims = list(A.dims())
-    choice_spaces = []
-    for d in dims:
-        funcs = list(itertools.product(X.cells[d], repeat=len(A.cells[d])))
-        choice_spaces.append(funcs)
-    out = []
-    for combo in itertools.product(*choice_spaces):
-        comps = {
-            d: dict(zip(A.cells[d], combo[j])) for j, d in enumerate(dims)
-        }
-        f = PresheafMap(A, X, comps)
-        if f.is_valid():
-            out.append(f)
-    return out
 
 
 def is_isomorphic(X, Y, forced=None):

@@ -610,42 +610,6 @@ class SiteOps:
                         return ("deg", g.values[i]), m
         raise ValueError(f"not a generator: {g!r}")
 
-    def morphism_to_json(self, f):
-        if self.cubical:
-            return {
-                "source_dim": f.source_dim,
-                "coords": [_term_to_json(t) for t in f.coords],
-            }
-        return {"target_dim": f.target_dim, "values": list(f.values)}
-
-    def morphism_from_json(self, data):
-        if self.cubical:
-            return CubeMorphism(
-                data["source_dim"], tuple(_term_from_json(t) for t in data["coords"])
-            )
-        return SimplexMorphism(data["target_dim"], tuple(data["values"]))
-
-
-def _term_to_json(t):
-    if t == CONST0:
-        return "const0"
-    if t == CONST1:
-        return "const1"
-    if t[0] == "v":
-        return t[1]
-    return {t[0]: [_term_to_json(ch) for ch in t[1]]}
-
-
-def _term_from_json(d):
-    if d == "const0":
-        return CONST0
-    if d == "const1":
-        return CONST1
-    if isinstance(d, int):
-        return ("v", d)
-    (op, kids), = d.items()
-    return (op, tuple(_term_from_json(ch) for ch in kids))
-
 
 CUBICAL = SiteOps("cubical")
 SIMPLICIAL = SiteOps("simplicial")

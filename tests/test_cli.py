@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, reports, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +29,7 @@ def files(tmp_path):
         gr.constant_map(C5, gr.interval(0), 0).to_json())
     put("pt-to-i1.json",
         gr.GraphMap(gr.interval(0), gr.interval(1), {0: 0}).to_json())
+    put("id-i1.json", gr.graph_identity(gr.interval(1)).to_json())
     I = ps.representable("cubical", 1, 2)
     put("interval.json", I.to_json())
     put("terminal.json", ps.map_to_json(
@@ -215,6 +219,83 @@ def test_negative_count_flag_is_input_error(files, capsys):
         ["nerve-stats", "--graph", files["c4.json"], "--dim", "-1"], capsys)
     assert code == 2
     assert out == ""
+
+
+def test_nerve_stats_budget_exhausted(files, capsys):
+    code = cli.main(["nerve-stats", "--graph", files["c4.json"], "--dim", "2",
+                     "--budget", "1", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("budget exhausted:")
+
+
+# Runs cli.main on its arguments in a fresh interpreter, then prints the
+# cubigraph modules loaded and exits with the command's exit code.
+_PROBE = """\
+import sys
+from cubigraph import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(" ".join(sorted(m for m in sys.modules if m.startswith("cubigraph."))))
+sys.exit(code)
+"""
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def test_each_command_imports_only_its_modules(files, tmp_path):
+    bad_cfg = tmp_path / "bad-cfg.json"
+    bad_cfg.write_text(json.dumps({"cell_budget": "lots"}))
+    f = files
+    cases = [
+        (["pi0", "--graph", f["c5.json"]], 0, "graphs"),
+        (["pi0", "--graph", str(tmp_path / "missing.json")], 2, "graphs"),
+        (["a1", "--graph", f["c5.json"]], 0, "graphs pi1"),
+        (["paths-homotopic", "--graph", f["c4.json"], "--p1", "0,1,2",
+          "--p2", "0,3,2"], 0, "graphs pi1"),
+        (["sk", "--input", f["interval.json"], "--n", "1"], 0,
+         "presheaf site skeleta"),
+        (["cosk", "--input", f["interval.json"], "--n", "1"], 0,
+         "presheaf site skeleta"),
+        (["verify-identities", "--n", "0"], 0, "presheaf site skeleta"),
+        (["check-rlp", "--map", f["terminal.json"], "--set", "I", "--n", "0"],
+         1, "lifting presheaf product site"),
+        (["triangulate", "--input", f["interval.json"]], 0,
+         "presheaf product site"),
+        (["geometric-product", "--x", f["interval.json"],
+          "--y", f["interval.json"]], 0, "presheaf product site"),
+        (["nerve-stats", "--graph", f["c4.json"], "--dim", "1"], 0,
+         "graphs nerve presheaf site"),
+        (["check-graph-fibration", "--map", f["pt-to-i1.json"]], 1,
+         "graphs lifting nerve presheaf product site"),
+        (["psi-check", "--f", f["id-i1.json"], "--g", f["id-i1.json"],
+          "--samples", "2"], 0, "graphs nerve pi1 presheaf site"),
+        (["--config", str(bad_cfg), "nerve-stats", "--graph", f["c4.json"],
+          "--dim", "1"], 2, ""),
+        (["nerve-stats", "--graph", f["c4.json"], "--dim", "-1"], 2, ""),
+        (["selftest"], 0,
+         "graphs lifting pi1 presheaf product site skeleta"),
+    ]
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    for argv, code, layers in cases:
+        proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, (argv, proc.stderr)
+        expected = sorted(["cli", *layers.split()])
+        loaded = proc.stdout.splitlines()[-1].split()
+        assert loaded == [f"cubigraph.{m}" for m in expected], argv
+
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cubigraph.pi1; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    loaded = proc.stdout.split()
+    assert "cubigraph.nerve" not in loaded
+    assert "cubigraph.presheaf" not in loaded
 
 
 def test_json_reports_are_deterministic(files, capsys):

@@ -296,17 +296,3 @@ def test_mono_epi_factorization():
             assert st.cube_is_face_type(mono)
             assert st.cube_is_epi_type(epi)
             assert st.cube_compose(mono, epi) == f
-
-
-# --- serialization --------------------------------------------------------
-
-
-def test_morphism_json_round_trip():
-    ops = st.CUBICAL
-    for f in st.all_cube_morphisms(2, 2) + st.all_cube_morphisms(3, 1):
-        blob = ops.morphism_to_json(f)
-        assert ops.morphism_from_json(blob) == f
-    ops = st.SIMPLICIAL
-    for f in st.all_simplex_morphisms(2, 2):
-        blob = ops.morphism_to_json(f)
-        assert ops.morphism_from_json(blob) == f
