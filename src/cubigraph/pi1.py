@@ -25,6 +25,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph, GraphMap, pullback, pi0
 
@@ -98,7 +99,41 @@ def _clamp(i, n):
     return 0 if i < 0 else n - 1 if i >= n else i
 
 
-def _step_words(graph, word, max_support):
+@lru_cache(maxsize=256)
+def _shift_rows(n, top):
+    """Per position i < top, the pairs (j, bits) for a word of length n:
+    bit k of bits is set when shift s = k + 1 - top puts word[j],
+    j = clamp(i - s), opposite position i.  Only shifts s >= i + 1 - top
+    count, since a word through position i has length at least i + 1."""
+    rows = []
+    for i in range(top):
+        by_pos = [0] * n
+        for k in range(i, 2 * top - n):
+            by_pos[_clamp(i - (k + 1 - top), n)] |= 1 << k
+        rows.append(tuple((j, bits) for j, bits in enumerate(by_pos) if bits))
+    return tuple(rows)
+
+
+def _completions(graph, x, y, top):
+    """more[j][v]: the number of trimmed x -> y words of length <= top
+    (consecutive vertices adjacent or equal, w[1] != x, w[-2] != y) that
+    go on past v at position j, counted for one prefix ending there; so a
+    prefix P of length m >= 2 begins (P[-1] == y and P[-2] != y)
+    + more[m - 1][P[-1]] such words."""
+    later = dict.fromkeys(graph.vertices, 0)
+    more = [later]
+    for _ in range(top - 1):
+        later = {
+            v: later[v] + sum(later[u] for u in graph.adj[v])
+            + (v != y and y in graph.adj[v])
+            for v in graph.vertices
+        }
+        more.append(later)
+    more.reverse()
+    return more
+
+
+def _step_words(graph, word, max_support, _admitted=None):
     """The trimmed words one homotopy step from the given one, ascending.
 
     Two words are one step apart when some endpoint paddings to a common
@@ -113,42 +148,36 @@ def _step_words(graph, word, max_support):
     still alive as a bitmask (bit k is shift k + 1 - top).  Children are
     visited in ascending vertex order, so the preorder is ascending tuple
     order and each neighbour is yielded once, in sorted order.
+
+    _admitted, a pair (seen, more) from path_homotopic_bounded, skips each
+    child prefix P with seen[P] equal to its count of trimmed words (see
+    _completions): every word of that subtree is already admitted, and
+    cutting whole subtrees out of an ascending preorder leaves the other
+    words yielded in the same order.
     """
     n, top = len(word), max_support + 1
     x, y = word[0], word[-1]
     span = 2 * top - n  # shifts 1 - top .. top - n
     close = {v: graph.neighbors(v) for v in set(word)}
-    # front: x must face word[j] for every j < -s; tail[m]: y must face
-    # word[j] for every j >= m - s
-    head_ok = [True]
-    for v in word:
-        head_ok.append(head_ok[-1] and graph.adjacent(x, v))
-    tail_ok = [True]
-    for v in reversed(word):
-        tail_ok.append(tail_ok[-1] and graph.adjacent(y, v))
-    tail_ok.reverse()
-    front = 0
-    tail = [0] * (top + 1)
-    for k in range(span):
-        s = k + 1 - top
-        if head_ok[min(max(-s, 0), n)]:
-            front |= 1 << k
-        for m in range(1, top + 1):
-            if tail_ok[min(max(m - s, 0), n)]:
-                tail[m] |= 1 << k
+    # front: shift s needs x to face word[j] for every j < -s; tail[m]:
+    # y to face word[j] for every j >= m - s.  With word[:h] the longest
+    # prefix facing x and word[g:] the longest suffix facing y, these keep
+    # the bits k >= top - 1 - h (all if h == n) and k < m + top - g
+    h = next((j for j, v in enumerate(word) if not graph.adjacent(x, v)), n)
+    g = next((j + 1 for j in range(n - 1, -1, -1)
+              if not graph.adjacent(y, word[j])), 0)
+    every = (1 << span) - 1
+    front = every if h == n else every >> (top - 1 - h) << (top - 1 - h)
+    tail = [every if g == 0 else (1 << min(span, m + top - g)) - 1
+            for m in range(top + 1)]
     # rows[i][v]: the shifts under which v at position i faces
-    # word[clamp(i - s)], limited to s >= i + 1 - top (a word through
-    # position i has length m >= i + 1)
+    # word[clamp(i - s)]
     rows = []
-    for i in range(top):
-        by_pos = [0] * n
-        for k in range(i, span):
-            by_pos[_clamp(i - (k + 1 - top), n)] |= 1 << k
+    for shifts in _shift_rows(n, top):
         row = {}
-        for j, bits in enumerate(by_pos):
-            if bits:
-                for v in close[word[j]]:
-                    row[v] = row.get(v, 0) | bits
+        for j, bits in shifts:
+            for v in close[word[j]]:
+                row[v] = row.get(v, 0) | bits
         rows.append(row)
     if top > 1:
         rows[1].pop(x, None)  # a trimmed word never repeats its start
@@ -165,6 +194,7 @@ def _step_words(graph, word, max_support):
             if bits & reach:
                 row[v] = bits & reach
         rows[i] = later = row
+    seen, more = _admitted or ({}, None)
     ascending = {}
     stack = [((x,), front & rows[0].get(x, 0))]
     while stack:
@@ -182,7 +212,11 @@ def _step_words(graph, word, max_support):
         for v in ascending[last]:
             bits = live & row.get(v, 0)
             if bits:
-                stack.append((prefix + (v,), bits))
+                child = prefix + (v,)
+                done = seen.get(child)
+                if done is None or done != (
+                        (v == y and last != y) + more[m][v]):
+                    stack.append((child, bits))
 
 
 def _one_step(graph, a, b, max_support):
@@ -217,7 +251,10 @@ def path_homotopic_bounded(p, q, max_support=None, max_steps=20000):
     max_support caps the window length (number of steps) of every
     intermediate path; max_steps caps the number of explored words.
     no_exhausted is reported only when the entire reachable set within
-    max_support was visited without meeting q.
+    max_support was visited without meeting q.  Words already admitted are
+    not enumerated again: each step enumeration skips the prefixes all of
+    whose trimmed words are admitted, which leaves the search, its
+    explored count and its layers unchanged.
     """
     if p.graph is not q.graph and p.graph.vertices != q.graph.vertices:
         raise ValueError("paths live in different graphs")
@@ -233,6 +270,11 @@ def path_homotopic_bounded(p, q, max_support=None, max_steps=20000):
     parent = {p.word: None}
     frontier = deque([p.word])
     explored = 0
+    # seen[P]: the admitted words with prefix P, len(P) >= 2; the words in
+    # fresh are counted only before the next step enumeration, so a search
+    # that ends on its next pop never pays for them
+    seen, fresh = {}, [p.word]
+    more = _completions(graph, p.start, p.end, max_support + 1)
     while frontier:
         cur = frontier.popleft()
         explored += 1
@@ -246,10 +288,15 @@ def path_homotopic_bounded(p, q, max_support=None, max_steps=20000):
                 layers.append(parent[layers[-1]])
             layers.reverse()
             return HomotopyReport("yes", layers, explored)
-        for nxt in _step_words(graph, cur, max_support):
+        for w in fresh:
+            for m in range(2, len(w) + 1):
+                seen[w[:m]] = seen.get(w[:m], 0) + 1
+        fresh = []
+        for nxt in _step_words(graph, cur, max_support, (seen, more)):
             if nxt not in parent:
                 parent[nxt] = cur
                 frontier.append(nxt)
+                fresh.append(nxt)
     return HomotopyReport("no_exhausted", None, explored)
 
 

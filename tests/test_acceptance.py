@@ -336,10 +336,11 @@ def test_criterion_09_a1_oracle_pair():
         pres = pi1.a1_presentation(G, base)
         n_gens = len(pres.generators)
         words = [()] + [((i, 1),) for i in range(n_gens)]
-        if n_gens and name not in ("C6",):
-            # the C6 double/cancelling words exceed the time budget of the
-            # bounded homotopy search without changing the conclusion
+        if n_gens:
             words.append(((0, 1), (0, 1)))
+        if n_gens and name != "C6":
+            # the C6 cancelling word is left out: the bounded search was
+            # still inconclusive after 50,001 pops (about 3 minutes)
             words.append(((0, 1), (0, -1)))
         for word in words:
             trivial = pi1.loop_word_trivial(pres, word)

@@ -1,7 +1,9 @@
 """Paths, bounded path homotopy, fundamental groupoid presentations, and
 the pullback comparison machinery."""
 
+import itertools
 import random
+from collections import Counter, deque
 from types import SimpleNamespace
 
 import pytest
@@ -240,8 +242,8 @@ def _random_walk(rng, graph, start, steps):
     return word
 
 
-def test_step_words_agree_with_padding_oracle():
-    rng = random.Random(4)
+def _step_test_graphs(rng):
+    """C3-C6, I1xI1, C5xI1 and 24 random graphs on up to 6 vertices."""
     I1 = gr.interval(1)
     graphs = [gr.cycle(n) for n in (3, 4, 5, 6)]
     graphs += [gr.box_product(I1, I1), gr.box_product(gr.cycle(5), I1)]
@@ -251,7 +253,12 @@ def test_step_words_agree_with_padding_oracle():
             (u, v) for u in range(n) for v in range(u + 1, n)
             if rng.random() < 0.4
         ]))
-    for G in graphs:
+    return graphs
+
+
+def test_step_words_agree_with_padding_oracle():
+    rng = random.Random(4)
+    for G in _step_test_graphs(rng):
         for _ in range(8):
             word = pi1._trim(_random_walk(
                 rng, G, rng.choice(G.vertices), rng.randint(0, 5)))
@@ -284,6 +291,104 @@ def test_homotopy_search_is_pinned():
     assert (rep.verdict, rep.explored) == ("yes", 443)
     assert rep.layers == [
         (0, 1, 2, 3, 2, 1, 0), (0, 1, 0, 0, 0, 1, 2, 1, 0), (0, 1, 0), (0,)]
+
+
+def _search_oracle(p, q, max_support, max_steps):
+    """(verdict, explored, layers) of the breadth-first search of
+    path_homotopic_bounded with every step word enumerated: no subtree of
+    admitted words is skipped."""
+    graph = p.graph
+    if p.word == q.word:
+        return "yes", 0, [p.word]
+    parent = {p.word: None}
+    frontier = deque([p.word])
+    explored = 0
+    while frontier:
+        cur = frontier.popleft()
+        explored += 1
+        if explored > max_steps:
+            return "inconclusive", explored, None
+        if pi1._one_step(graph, cur, q.word, max_support):
+            layers = [q.word, cur]
+            while parent[layers[-1]] is not None:
+                layers.append(parent[layers[-1]])
+            layers.reverse()
+            return "yes", explored, layers
+        for nxt in pi1._step_words(graph, cur, max_support):
+            if nxt not in parent:
+                parent[nxt] = cur
+                frontier.append(nxt)
+    return "no_exhausted", explored, None
+
+
+def test_homotopy_search_agrees_with_unpruned_oracle(monkeypatch):
+    step_words, yields = pi1._step_words, Counter()
+
+    def counted(graph, word, max_support, *admitted):
+        for nxt in step_words(graph, word, max_support, *admitted):
+            yields["pruned" if admitted else "oracle"] += 1
+            yield nxt
+
+    monkeypatch.setattr(pi1, "_step_words", counted)
+    rng = random.Random(13)
+    cases = []
+    for G in _step_test_graphs(rng):
+        for _ in range(3):
+            start = rng.choice(G.vertices)
+            p = pi1._trim(_random_walk(rng, G, start, rng.randint(2, 6)))
+            for _ in range(40):
+                q = pi1._trim(_random_walk(rng, G, start, rng.randint(0, 6)))
+                if q[-1] == p[-1] and q != p:
+                    support = max(len(p), len(q)) - 1 + rng.randint(0, 2)
+                    cases.append((G, p, q, support))
+                    break
+    C5, C6 = gr.cycle(5), gr.cycle(6)
+    cases += [(C5, (0, 1, 2), (0, 4, 3, 2), s) for s in range(3, 10)]
+    cases += [(C6, (0, 1, 2, 3), (0, 5, 4, 3), s) for s in range(3, 8)]
+    cyl = gr.box_product(C5, gr.interval(1))
+    cases += [(cyl, tuple((v, 0) for v in (0, 1, 2)),
+               tuple((v, 0) for v in (0, 4, 3, 2)), s) for s in range(3, 6)]
+    verdicts = Counter()
+    for (G, a, b, support), max_steps in itertools.product(
+            cases, (10, 200, 50000)):
+        p, q = pi1.make_path(G, a), pi1.make_path(G, b)
+        rep = pi1.path_homotopic_bounded(p, q, support, max_steps)
+        expected = _search_oracle(p, q, support, max_steps)
+        assert (rep.verdict, rep.explored, rep.layers) == expected, (a, b)
+        verdicts[rep.verdict] += 1
+    assert set(verdicts) == {"yes", "no_exhausted", "inconclusive"}
+    # the skip must cut work, not only keep the result: most yields of
+    # the unpruned search repeat an admitted word
+    assert yields["pruned"] * 10 < yields["oracle"], yields
+
+
+def test_completion_counts_agree_with_enumeration():
+    rng = random.Random(5)
+    I1 = gr.interval(1)
+    graphs = [gr.cycle(4), gr.cycle(5), gr.box_product(I1, I1),
+              gr.Graph(range(5), [(u, v) for u in range(5)
+                                  for v in range(u + 1, 5)
+                                  if rng.random() < 0.5])]
+    for G, top in itertools.product(graphs, (1, 2, 3, 5)):
+        for x, y in itertools.product(G.vertices, repeat=2):
+            # every walk from x of length <= top that does not repeat x
+            # at once, and how many trimmed x -> y words each begins
+            walks, stack = [], [(x,)]
+            while stack:
+                walk = stack.pop()
+                walks.append(walk)
+                if len(walk) < top:
+                    stack.extend(walk + (v,) for v in G.neighbors(walk[-1])
+                                 if len(walk) > 1 or v != x)
+            begun = Counter(
+                walk[:m] for walk in walks
+                if walk[-1] == y and (len(walk) == 1 or walk[-2] != y)
+                for m in range(2, len(walk) + 1))
+            more = pi1._completions(G, x, y, top)
+            for walk in walks[1:]:
+                m = len(walk)
+                ends = walk[-1] == y and walk[-2] != y
+                assert ends + more[m - 1][walk[-1]] == begun[walk], walk
 
 
 def _hnf_contains(rows, image):
