@@ -16,7 +16,10 @@ per-(k, M) table of each boundary point's clamp one step in.
 The bounded fibration check poses open-box lifting problems directly as
 grid constraint problems, with explicit three-valued verdicts; a filler
 miss inside the configured support cap is a counterexample-within-bounds,
-never an unbounded claim.
+never an unbounded claim.  A filler is searched on its free points alone,
+the filler grid's points off the open box: the box is already labeled by
+u composed with clamping, so it enters only through the domains of its
+free neighbours.
 """
 
 from __future__ import annotations
@@ -362,6 +365,11 @@ def _labelings(X, points, frozen, allowed=None, rng=None, limit=None,
     out = []
     if not propagate(list(range(n)), []):
         return out
+    # the points still holding two or more values, in index order: the
+    # search only narrows domains below these, so no other point is ever
+    # branched on and the minimum-remaining-values scan can skip them
+    live = [j for j in range(n) if domains[j] & (domains[j] - 1)]
+    at_live = _take(live)
 
     def search():
         if limit is not None and len(out) >= limit:
@@ -369,7 +377,7 @@ def _labelings(X, points, frozen, allowed=None, rng=None, limit=None,
         if budget is not None:
             budget.spend()
         # minimum remaining values, ties to the first point
-        sizes = list(map(int.bit_count, domains))
+        sizes = list(map(int.bit_count, at_live(domains)))
         best_size = min(filter((1).__lt__, sizes), default=None)
         if best_size is None:
             # an empty domain here is a component with no value at all
@@ -379,7 +387,7 @@ def _labelings(X, points, frozen, allowed=None, rng=None, limit=None,
                     for t, dom in zip(points, domains)
                 })
             return
-        best = sizes.index(best_size)
+        best = live[sizes.index(best_size)]
 
         def freedom(b):
             cb = closed[b]
@@ -466,6 +474,34 @@ def _clamp_map(k, Ms, M):
     """Each point of [-Ms, Ms]^k -> its clamp into [-M, M]^k, so that
     table[clamp[t]] extends a labeling of [-M, M]^k by clamping."""
     return {t: _clamp(t, M) for t in _grid(Ms, k)}
+
+
+@lru_cache(maxsize=256)
+def _filler_table(k, i, eps, M, slack, into_boundary):
+    """The free points of a filler problem and where their constraints are
+    read.
+
+    The filler grid is [-Ms, Ms]^k, Ms = M + slack (its boundary for a
+    boundary-target member), and its free points are those off the open
+    box (i, eps) at support Ms.  Returns the free points in grid order,
+    each one's clamp into [-M, M]^k (where w is read), and for each the
+    distinct clamps into [-M, M]^k of its box-adjacent points on the open
+    box (where u is read).
+    """
+    Ms = M + slack
+    region = set(_box_region(k, i, eps, Ms))
+    points = _boundary_points(k, Ms) if into_boundary else _grid(Ms, k)
+    free = tuple(t for t in points if t not in region)
+    on_box = []
+    for t in free:
+        near = set()
+        for axis in range(k):
+            for dlt in (-1, 1):
+                s = t[:axis] + (t[axis] + dlt,) + t[axis + 1:]
+                if s in region:
+                    near.add(_clamp(s, M))
+        on_box.append(tuple(sorted(near)))
+    return free, tuple(_clamp(t, M) for t in free), tuple(on_box)
 
 
 class FibrationReport:
@@ -633,33 +669,50 @@ def _cycle_filler(order, points, frozen):
 
 
 def _find_filler(f, k, i, eps, M, slack, u, w, into_boundary, budget):
-    """Search a lift labeling at support M + slack; None if none exists."""
+    """Search a lift labeling at support M + slack; None if none exists.
+
+    On the open box the lift is u composed with clamping into [-M, M]^k,
+    which is already a graph map there, so only the free points of
+    _filler_table are searched.  A free point's domain is the fibre over
+    w at its clamp, cut to the closed neighbourhoods of u's values at the
+    clamps of its neighbours on the box; the free-point problem has the
+    same solutions as the one on the whole filler grid.  Returns a
+    labeling of at least the free points (the exact cycle path labels the
+    box too, with u's clamped values).
+    """
     X = f.source
-    Ms = M + slack
-    region = _box_region(k, i, eps, Ms)
-    clamp = _clamp_map(k, Ms, M)
-    frozen = {t: u[clamp[t]] for t in region}
-    points = _boundary_points(k, Ms) if into_boundary else _grid(Ms, k)
+    free, w_at, u_at = _filler_table(k, i, eps, M, slack, into_boundary)
     fibers = {}
-    for y in set(w.values()):
+    for y in set(map(w.__getitem__, w_at)):
         fibers[y] = {x for x in X.vertices if f.assignment[x] == y}
-    allowed = {
-        t: fibers[w[clamp[t]]] for t in points if t not in frozen
-    }
     # exact path for cycle-valued problems on simply connected regions
     # (full grids, or cube boundaries of dimension >= 3) with free fibers
     if (not into_boundary or k >= 3) and all(
-        len(a) == len(X.vertices) for a in allowed.values()
+        len(a) == len(X.vertices) for a in fibers.values()
     ):
         order = _cycle_order(X)
         # length >= 5 only: four unit steps cannot wrap such a cycle, so
         # labelings of simply connected regions lift to integer heights
         if order is not None and len(order) >= 5:
+            Ms = M + slack
+            clamp = _clamp_map(k, Ms, M)
+            frozen = {t: u[clamp[t]] for t in _box_region(k, i, eps, Ms)}
+            points = _boundary_points(k, Ms) if into_boundary else _grid(Ms, k)
             decided = _cycle_filler(order, points, frozen)
             if decided is not None:
                 verdict, table = decided
                 return table if verdict == "labeling" else None
-    return _restart_labelings(X, points, frozen, allowed, budget)
+    allowed = {}
+    for t, c, near in zip(free, w_at, u_at):
+        dom = fibers[w[c]]
+        for p in near:
+            v = u[p]
+            cut = dom & X.adj[v]
+            if v in dom:
+                cut.add(v)
+            dom = cut
+        allowed[t] = dom
+    return _restart_labelings(X, free, {}, allowed, budget)
 
 
 def is_graph_n_fibration_bounded(

@@ -20,7 +20,6 @@ abelianization or bounded word rewriting.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections import deque
@@ -438,18 +437,22 @@ def a1_presentation(X, x):
                 variants.append(_free_reduce(w[rot:] + w[:rot]))
         relators.add(min(v for v in variants if v))
 
-    verts = component
-    for a, b, c in itertools.combinations(verts, 3):
-        if b in X.adj[a] and c in X.adj[b] and a in X.adj[c]:
-            add(walk_to_word(pres, (a, b, c, a)))
-    for quad in itertools.combinations(verts, 4):
-        for perm in itertools.permutations(quad):
-            if perm[0] != min(perm):
-                continue
-            a, b, c, d = perm
-            if (b in X.adj[a] and c in X.adj[b]
-                    and d in X.adj[c] and a in X.adj[d]):
-                add(walk_to_word(pres, (a, b, c, d, a)))
+    # walk each 3- and 4-cycle once along adj: from its first vertex a in
+    # stored order, in the orientation whose second vertex comes before
+    # its last (add does not depend on the start or orientation)
+    adj = X.adj
+    for a in component:
+        later = [v for v in adj[a] if pos[v] > pos[a]]
+        for b in later:
+            for c in later:
+                if pos[b] < pos[c] and c in adj[b]:
+                    add(walk_to_word(pres, (a, b, c, a)))
+            for c in adj[b]:
+                if c == a or pos[c] < pos[a]:
+                    continue
+                for d in adj[c]:
+                    if (d != b and pos[d] > pos[b] and d in adj[a]):
+                        add(walk_to_word(pres, (a, b, c, d, a)))
     pres.relators = sorted(relators)
     return pres
 

@@ -484,13 +484,12 @@ def _small_point_sets():
     return out
 
 
-def test_labelings_agree_with_product_oracle():
-    """The bitmask search against a brute-force oracle: random graphs of at
-    most 5 vertices, grids, open boxes and boundaries with M <= 1, k <= 2,
-    and random frozen/allowed constraints (tightened until the product of
-    the domain sizes is small enough to enumerate)."""
+def _product_oracle_problems():
+    """Random graphs of at most 5 vertices, grids, open boxes and
+    boundaries with M <= 1, k <= 2, and random frozen/allowed constraints
+    (tightened until the product of the domain sizes is small enough to
+    enumerate); yields (X, points, frozen, allowed, trial)."""
     rng = random.Random(2024)
-    cases = 0
     for X in _small_graphs(rng):
         verts = list(X.vertices)
         for points in _small_point_sets():
@@ -513,21 +512,329 @@ def test_labelings_agree_with_product_oracle():
 
                 while free and math.prod(map(size, points)) > 20000:
                     frozen[free.pop()] = rng.choice(verts)
-                want = _oracle_labelings(X, points, frozen, allowed)
-                got = nv._labelings(X, points, frozen, allowed=allowed,
-                                    budget=nv.Budget(10**6))
-                ordered = sorted(points)
-                as_tuples = [tuple(s[t] for t in ordered) for s in got]
-                assert len(as_tuples) == len(set(as_tuples))
-                assert set(as_tuples) == want
-                first = nv._labelings(X, points, frozen, allowed=allowed,
-                                      limit=1, budget=nv.Budget(10**6))
-                assert first == got[:1]
-                drawn = nv._labelings(X, points, frozen, allowed=allowed,
-                                      rng=random.Random(trial), limit=1,
-                                      budget=nv.Budget(10**6))
-                assert len(drawn) == min(1, len(want))
-                for s in drawn:
-                    assert tuple(s[t] for t in ordered) in want
-                cases += 1
+                yield X, points, frozen, allowed, trial
+
+
+def test_labelings_agree_with_product_oracle():
+    """The bitmask search against a brute-force oracle on
+    _product_oracle_problems."""
+    cases = 0
+    for X, points, frozen, allowed, trial in _product_oracle_problems():
+        want = _oracle_labelings(X, points, frozen, allowed)
+        got = nv._labelings(X, points, frozen, allowed=allowed,
+                            budget=nv.Budget(10**6))
+        ordered = sorted(points)
+        as_tuples = [tuple(s[t] for t in ordered) for s in got]
+        assert len(as_tuples) == len(set(as_tuples))
+        assert set(as_tuples) == want
+        first = nv._labelings(X, points, frozen, allowed=allowed,
+                              limit=1, budget=nv.Budget(10**6))
+        assert first == got[:1]
+        drawn = nv._labelings(X, points, frozen, allowed=allowed,
+                              rng=random.Random(trial), limit=1,
+                              budget=nv.Budget(10**6))
+        assert len(drawn) == min(1, len(want))
+        for s in drawn:
+            assert tuple(s[t] for t in ordered) in want
+        cases += 1
     assert cases > 300
+
+
+def _full_scan_labelings(X, points, frozen, allowed=None, rng=None,
+                         limit=None, budget=None):
+    """Oracle: nerve._labelings as it was before the live-point scan, its
+    minimum-remaining-values step scanning every point's domain.
+
+    Graph-map labelings of a point set with box adjacency.
+
+    Solved as a constraint problem with arc-consistency propagation and
+    minimum-remaining-values ordering (ties broken by point order, so
+    results are deterministic).  frozen: point -> forced vertex; allowed:
+    point -> permitted vertex set; rng shuffles value order (sampling);
+    limit caps the number of results; budget caps search steps.  Domains
+    are int bitmasks over the graph's vertices (see _graph_bits).
+    """
+    points = tuple(sorted(points))
+    _, nbrs, grid_balls = nv._shape(points)
+    verts, bit, closed, far = nv._graph_bits(X)
+    n = len(points)
+    full = (1 << len(verts)) - 1
+    domains = []
+    for t in points:
+        if t in frozen:
+            dom = bit[frozen[t]]
+        elif allowed is not None and t in allowed:
+            dom = 0
+            for v in allowed[t]:
+                dom |= bit[v]
+        else:
+            dom = full
+        domains.append(dom)
+
+    # distance pruning: a labeling is a graph map from the (reflexive)
+    # point grid, so it contracts distances -- a point at grid distance d
+    # from a decided point j can only take values within graph distance d
+    # of j's value w.  So v is ruled out on the grid ball around j of
+    # radius dist(v, w) - 1, and on all of j's component when w cannot
+    # reach v (index -1 picks the last ball).  A domain emptied on a point
+    # some decided point reaches leaves no labeling.
+    singles = [j for j in range(n) if domains[j].bit_count() == 1]
+    if singles and len(singles) < n:
+        ruled_out = dict.fromkeys(bit.values(), 0)
+        reach = 0
+        for j in singles:
+            around = grid_balls[j]
+            top = len(around) - 1
+            reach |= around[top]
+            for b, r in far[domains[j]]:
+                ruled_out[b] |= around[min(r, top)]
+        for i in range(n):
+            dom = domains[i]
+            for low in nv._bits(dom):
+                if ruled_out[low] >> i & 1:
+                    dom ^= low
+            if not dom and reach >> i & 1:
+                return []
+            domains[i] = dom
+
+    def propagate(queue, trail):
+        """AC-3 from the queued point indices; records removed masks on
+        trail."""
+        while queue:
+            if budget is not None:
+                budget.spend()
+            j = queue.pop()
+            dj = domains[j]
+            support = closed.get(dj)
+            if support is None:
+                support = 0
+                for low in nv._bits(dj):
+                    support |= closed[low]
+            for i in nbrs[j]:
+                di = domains[i]
+                dead = di & ~support
+                if dead:
+                    di ^= dead
+                    domains[i] = di
+                    trail.append((i, dead))
+                    if not di:
+                        return False
+                    queue.append(i)
+        return True
+
+    out = []
+    if not propagate(list(range(n)), []):
+        return out
+
+    def search():
+        if limit is not None and len(out) >= limit:
+            return
+        if budget is not None:
+            budget.spend()
+        # minimum remaining values, ties to the first point
+        sizes = list(map(int.bit_count, domains))
+        best_size = min(filter((1).__lt__, sizes), default=None)
+        if best_size is None:
+            # an empty domain here is a component with no value at all
+            if all(domains):
+                out.append({
+                    t: verts[dom.bit_length() - 1]
+                    for t, dom in zip(points, domains)
+                })
+            return
+        best = sizes.index(best_size)
+
+        def freedom(b):
+            cb = closed[b]
+            return sum((domains[i] & cb).bit_count() for i in nbrs[best])
+
+        saved = domains[best]
+        cands = list(nv._bits(saved))
+        if rng is not None:
+            rng.shuffle(cands)
+        else:
+            cands.sort(key=freedom, reverse=True)
+        for b in cands:
+            domains[best] = b
+            trail = []
+            if propagate([best], trail):
+                search()
+            for i, dead in trail:
+                domains[i] |= dead
+            domains[best] = saved
+            if limit is not None and len(out) >= limit:
+                return
+
+    search()
+    return out
+
+
+def _full_grid_find_filler(f, k, i, eps, M, slack, u, w, into_boundary,
+                           budget):
+    """Oracle: nerve._find_filler as it was before free-point fillers, one
+    problem on the whole filler grid with the open box frozen to u composed
+    with clamping."""
+    X = f.source
+    Ms = M + slack
+    region = nv._box_region(k, i, eps, Ms)
+    clamp = nv._clamp_map(k, Ms, M)
+    frozen = {t: u[clamp[t]] for t in region}
+    points = nv._boundary_points(k, Ms) if into_boundary else nv._grid(Ms, k)
+    fibers = {}
+    for y in set(w.values()):
+        fibers[y] = {x for x in X.vertices if f.assignment[x] == y}
+    allowed = {
+        t: fibers[w[clamp[t]]] for t in points if t not in frozen
+    }
+    # exact path for cycle-valued problems on simply connected regions
+    # (full grids, or cube boundaries of dimension >= 3) with free fibers
+    if (not into_boundary or k >= 3) and all(
+        len(a) == len(X.vertices) for a in allowed.values()
+    ):
+        order = nv._cycle_order(X)
+        # length >= 5 only: four unit steps cannot wrap such a cycle, so
+        # labelings of simply connected regions lift to integer heights
+        if order is not None and len(order) >= 5:
+            decided = nv._cycle_filler(order, points, frozen)
+            if decided is not None:
+                verdict, table = decided
+                return table if verdict == "labeling" else None
+    return nv._restart_labelings(X, points, frozen, allowed, budget)
+
+
+def test_live_point_scan_matches_the_full_scan():
+    """_labelings branches only on the points left with two or more values
+    after the first propagation; on _product_oracle_problems it returns the
+    same list and spends the same budget as the full scan, with and
+    without a value-order rng and a result limit, and a budget cut to
+    half the spend runs out at the same step."""
+    cases = cuts = 0
+    for X, points, frozen, allowed, trial in _product_oracle_problems():
+        for seed, limit in ((None, None), (None, 1), (trial, 1)):
+            runs = []
+            for search in (nv._labelings, _full_scan_labelings):
+                budget = nv.Budget(10 ** 6)
+                rng = None if seed is None else random.Random(seed)
+                got = search(X, points, frozen, allowed=allowed, rng=rng,
+                             limit=limit, budget=budget)
+                runs.append((got, budget.left))
+            assert runs[0] == runs[1], (X, points, frozen, allowed)
+            cases += 1
+            spent = 10 ** 6 - runs[0][1]
+            if spent < 2:
+                continue
+            lefts = []
+            for search in (nv._labelings, _full_scan_labelings):
+                budget = nv.Budget(spent // 2)
+                rng = None if seed is None else random.Random(seed)
+                with pytest.raises(nv.BudgetExceeded):
+                    search(X, points, frozen, allowed=allowed, rng=rng,
+                           limit=limit, budget=budget)
+                lefts.append(budget.left)
+            assert lefts[0] == lefts[1]
+            cuts += 1
+    assert cases > 2000 and cuts > 1800
+
+
+def _filler_corpus():
+    I0, I1 = gr.interval(0), gr.interval(1)
+    C3, C4, C5, C6 = (gr.cycle(n) for n in (3, 4, 5, 6))
+    cyl = gr.box_product(C5, I1)
+    return [
+        gr.constant_map(C4, I0, 0),
+        gr.constant_map(C5, I0, 0),
+        gr.constant_map(C6, I0, 0),
+        gr.graph_identity(I1),
+        gr.graph_identity(C3),
+        gr.GraphMap(cyl, C5, {v: v[0] for v in cyl.vertices}),
+        gr.GraphMap(C6, C3, {v: v % 3 for v in C6.vertices}),
+        gr.GraphMap(C4, I1, {0: 0, 1: 1, 2: 0, 3: 1}),
+        gr.GraphMap(I0, I1, {0: 0}),
+    ]
+
+
+def _lift_table(k, i, eps, M, slack, u, filler):
+    """The filler merged with u composed with clamping on the open box, or
+    None when the filler disagrees with it there."""
+    table = {t: u[nv._clamp(t, M)]
+             for t in nv._box_region(k, i, eps, M + slack)}
+    for t, x in filler.items():
+        if table.setdefault(t, x) != x:
+            return None
+    return table
+
+
+def _is_lift(f, k, M, slack, w, into_boundary, table):
+    """Whether table labels the filler grid (or its boundary) with a graph
+    map for box adjacency that lies over w composed with clamping."""
+    Ms = M + slack
+    points = nv._boundary_points(k, Ms) if into_boundary else nv._grid(Ms, k)
+    if set(table) != set(points):
+        return False
+    grid = nv._grid(Ms, k)
+    for a, b in nv._grid_edges(k, Ms):
+        s, t = grid[a], grid[b]
+        if s in table and t in table and \
+                not f.source.adjacent(table[s], table[t]):
+            return False
+    return all(f.assignment[x] == w[nv._clamp(t, M)]
+               for t, x in table.items())
+
+
+def test_free_point_fillers_agree_with_full_grid_oracle():
+    """_find_filler, posed on the free points, against the full-grid search
+    on every J_1' member of the corpus maps at slack 0, 1 and 2: every
+    problem at support 0, and at support 1 every problem for k = 1 and
+    seeded samples for k = 2 and 3 (all of k <= 2 at support 1 would be
+    2.4M problems).  The verdicts agree, and every filler merged with u on
+    the open box is a lift; one value corrupted so that it leaves its
+    fibre or its neighbour's closed neighbourhood is not."""
+    from cubigraph.lifting import generating_set
+
+    budget = nv.Budget(10 ** 8)
+    found = missed = controls = 0
+    for f in _filler_corpus():
+        X = f.source
+        for spec in generating_set("J_n_prime_cubical", 1).member_specs:
+            k, i, eps = spec["k"], spec["i"], spec["eps"]
+            into_bd = spec["shape"] == "box_into_boundary"
+            for M in (0, 1):
+                exhaustive = M == 0 or k == 1
+                rng = None if exhaustive else random.Random(k)
+                problems = list(nv._member_problems(
+                    f, k, i, eps, M, into_bd, rng, 24 if k == 2 else 6,
+                    budget))
+                for slack in (0, 1, 2):
+                    for u, w in problems:
+                        args = (f, k, i, eps, M, slack, u, w, into_bd,
+                                budget)
+                        filler = nv._find_filler(*args)
+                        want = _full_grid_find_filler(*args)
+                        assert (filler is None) == (want is None), args
+                        if filler is None:
+                            missed += 1
+                            continue
+                        found += 1
+                        table = _lift_table(k, i, eps, M, slack, u, filler)
+                        assert table is not None, args
+                        assert _is_lift(f, k, M, slack, w, into_bd, table)
+                        # negative control: the first free point takes a
+                        # vertex off its fibre, or one not adjacent to a
+                        # grid neighbour's value
+                        box = nv._box_region(k, i, eps, M + slack)
+                        free = sorted(set(table) - set(box))
+                        if not free:
+                            continue
+                        t = free[0]
+                        near = [table[s] for s in table if sum(
+                            abs(a - b) for a, b in zip(s, t)) == 1]
+                        y = f.assignment[table[t]]
+                        bad = [x for x in X.vertices
+                               if f.assignment[x] != y
+                               or not all(X.adjacent(x, v) for v in near)]
+                        if bad:
+                            table[t] = bad[0]
+                            assert not _is_lift(f, k, M, slack, w, into_bd,
+                                                table)
+                            controls += 1
+    assert found > 5000 and missed > 800 and controls > 4000
