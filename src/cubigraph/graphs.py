@@ -1,6 +1,9 @@
 """Finite reflexive graphs: constructors, box products, pullbacks, connected
 components, and breadth-first search for bounded graph homotopies.
 
+`_bfs` is the one breadth-first search of the package; `_shortest_path`
+is built on it.  The graphs, nerve, lifting and pi1 searches run on them.
+
 Vertices carry an implicit loop; adjacency queries answer True on equal
 vertices even though loops are never stored.  A homotopy step between two
 graph maps is pointwise adjacency of their assignments; the equivalence of
@@ -9,9 +12,6 @@ tested lemma (see tests), not an assumption.
 """
 
 from __future__ import annotations
-
-import itertools
-from collections import deque
 
 
 def _freeze(value):
@@ -26,6 +26,10 @@ class Graph:
         self.vertices = tuple(vertices)
         # vertex -> its index in the stored order
         self._pos = {v: i for i, v in enumerate(self.vertices)}
+        if len(self._pos) != len(self.vertices):
+            dup = next(v for i, v in enumerate(self.vertices)
+                       if self._pos[v] != i)
+            raise ValueError(f"repeated vertex: {dup!r}")
         self.adj = {v: set() for v in self.vertices}
         for u, v in edges:
             if u not in self._pos or v not in self._pos:
@@ -189,22 +193,53 @@ def graph_product(X, Y):
     return P, p1, p2
 
 
+def _bfs(start, step, max_depth=None):
+    """Breadth-first search from start, where step(node) lists the nodes
+    one step on.  Yields (node, parent, depth) the first time it reaches
+    each node, start first with parent None, and does not expand nodes at
+    max_depth."""
+    seen = {start}
+    level = [start]
+    yield start, None, 0
+    depth = 0
+    while level and (max_depth is None or depth < max_depth):
+        depth += 1
+        nxt = []
+        for a in level:
+            for b in step(a):
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+                    yield b, a, depth
+        level = nxt
+
+
+def _shortest_path(start, goal, step, max_depth):
+    """(path, exhausted): a shortest start -> goal node list within
+    max_depth steps or None, and whether no node at max_depth was reached,
+    which makes a None conclusive."""
+    parent = {}
+    exhausted = True
+    for node, par, depth in _bfs(start, step, max_depth):
+        parent[node] = par
+        if node == goal:
+            path = [node]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1], exhausted
+        if depth == max_depth:
+            exhausted = False
+    return None, exhausted
+
+
 def pi0(X):
     comps = []
     seen = set()
     for v in X.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        frontier = deque([v])
-        while frontier:
-            u = frontier.popleft()
-            for w in X.adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
+        if v not in seen:
+            comp = frozenset(w for w, _, _ in _bfs(v, X.adj.__getitem__))
+            seen |= comp
+            comps.append(comp)
     return comps
 
 
@@ -273,26 +308,7 @@ def a_homotopy_search(f, g, max_len=16):
     """
     if f.source is not g.source and f.source.vertices != g.source.vertices:
         raise ValueError("sources differ")
-    if f == g:
-        return {"steps": [f], "length": 0}
-    prev = {f: None}
-    frontier = deque([(f, 0)])
-    exhausted = True
-    while frontier:
-        cur, depth = frontier.popleft()
-        if depth >= max_len:
-            exhausted = False
-            continue
-        for nxt in homotopy_step_maps(cur):
-            if nxt in prev:
-                continue
-            prev[nxt] = cur
-            if nxt == g:
-                steps = [nxt]
-                back = cur
-                while back is not None:
-                    steps.append(back)
-                    back = prev[back]
-                return {"steps": list(reversed(steps)), "length": depth + 1}
-            frontier.append((nxt, depth + 1))
-    return {"none_found": True, "exhausted": exhausted}
+    path, exhausted = _shortest_path(f, g, homotopy_step_maps, max_len)
+    if path is None:
+        return {"none_found": True, "exhausted": exhausted}
+    return {"steps": path, "length": len(path) - 1}

@@ -6,8 +6,6 @@ search for elementary homotopies through the cylinder.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .presheaf import (
     PresheafMap,
     _open_cell_indices,
@@ -99,12 +97,9 @@ def squares_over(i, f):
     return out
 
 
-def has_rlp(f, gen_set, trunc_dim=None):
+def has_rlp(f, gen_set):
     """True iff every square over every member lifts; else a counterexample."""
-    D = trunc_dim if trunc_dim is not None else f.source.trunc_dim
-    if D != f.source.trunc_dim:
-        raise ValueError("trunc_dim must match the map")
-    members = gen_set.realize(D)
+    members = gen_set.realize(f.source.trunc_dim)
     for name, i in members:
         for u, v in squares_over(i, f):
             if "no_lift" in solve(LiftingProblem(i, f, u, v)):
@@ -242,6 +237,9 @@ def elementary_homotopy_search(f, g, max_chain=4):
     every cylinder map, so a miss with the reachable set exhausted is a
     conclusive negative.
     """
+    # imported here: check-rlp loads this module but not graphs
+    from .graphs import _shortest_path
+
     X, Y = f.source, f.target
     P, i0, i1, _ = cylinder(X)
     all_maps = enumerate_maps(X, Y)
@@ -257,23 +255,8 @@ def elementary_homotopy_search(f, g, max_chain=4):
         idx_of[m]: sorted(idx_of[b] for b in edges.get(m, ()))
         for m in all_maps
     }
-    start, goal = idx_of[f], idx_of[g]
-    prev = {start: None}
-    frontier = deque([(start, 0)])
-    exhausted = True
-    while frontier:
-        cur, depth = frontier.popleft()
-        if cur == goal:
-            chain = []
-            while cur is not None:
-                chain.append(all_maps[cur])
-                cur = prev[cur]
-            return {"chain": list(reversed(chain)), "length": depth}
-        if depth >= max_chain:
-            exhausted = False
-            continue
-        for nxt in adj[cur]:
-            if nxt not in prev:
-                prev[nxt] = cur
-                frontier.append((nxt, depth + 1))
-    return {"none_found": True, "exhausted": exhausted}
+    path, exhausted = _shortest_path(idx_of[f], idx_of[g], adj.__getitem__,
+                                     max_chain)
+    if path is None:
+        return {"none_found": True, "exhausted": exhausted}
+    return {"chain": [all_maps[j] for j in path], "length": len(path) - 1}

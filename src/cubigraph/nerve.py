@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
+from .graphs import _bfs
 from .presheaf import PresheafMap, _from_images
 
 
@@ -196,28 +197,11 @@ def enumerate_cubes(X, k, M_max, budget=None):
     out = []
     for M in range(M_max + 1):
         points = _grid(M, k)
-        for table in _labelings(X, points, {}, budget=budget):
+        for table in _labelings(X, points, budget=budget):
             c = _trimmed(k, M, tuple(map(table.__getitem__, points)))
             if c.support == M:
                 out.append(c)
     return out
-
-
-def _bfs_levels(nbrs, start):
-    """Breadth-first levels from start: levels[d] lists the nodes at
-    distance d, in discovery order; nbrs[a] lists a's neighbours."""
-    seen = {start}
-    levels = [[start]]
-    while True:
-        nxt = []
-        for a in levels[-1]:
-            for b in nbrs[a]:
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        if not nxt:
-            return levels
-        levels.append(nxt)
 
 
 @lru_cache(maxsize=128)
@@ -239,11 +223,11 @@ def _shape(points):
                     nbrs[j].append(index[s])
     balls = []
     for j in range(len(points)):
-        ball, acc = [], 0
-        for level in _bfs_levels(nbrs, j):
-            for i in level:
-                acc |= 1 << i
-            ball.append(acc)
+        ball = [0]
+        for i, _, d in _bfs(j, nbrs.__getitem__):
+            if d == len(ball):
+                ball.append(ball[-1])
+            ball[d] |= 1 << i
         balls.append(ball)
     return index, nbrs, balls
 
@@ -277,20 +261,18 @@ def _graph_bits(X):
         for u in X.adj[w]:
             b |= bit[u]
         closed[bit[w]] = b
-        levels = _bfs_levels(X.adj, w)
-        radius = {v: d - 1 for d, level in enumerate(levels) for v in level}
+        radius = {v: d - 1 for v, _, d in _bfs(w, X.adj.__getitem__)}
         far[bit[w]] = [(bit[v], radius.get(v, -1)) for v in verts if v != w]
     return verts, bit, closed, far
 
 
-def _labelings(X, points, frozen, allowed=None, rng=None, limit=None,
-               budget=None):
+def _labelings(X, points, allowed=None, rng=None, limit=None, budget=None):
     """Graph-map labelings of a point set with box adjacency.
 
     Solved as a constraint problem with arc-consistency propagation and
     minimum-remaining-values ordering (ties broken by point order, so
-    results are deterministic).  frozen: point -> forced vertex; allowed:
-    point -> permitted vertex set; rng shuffles value order (sampling);
+    results are deterministic).  allowed: point -> permitted vertex set (a
+    single vertex freezes the point); rng shuffles value order (sampling);
     limit caps the number of results; budget caps search steps.  Domains
     are int bitmasks over the graph's vertices (see _graph_bits).
     """
@@ -301,9 +283,7 @@ def _labelings(X, points, frozen, allowed=None, rng=None, limit=None,
     full = (1 << len(verts)) - 1
     domains = []
     for t in points:
-        if t in frozen:
-            dom = bit[frozen[t]]
-        elif allowed is not None and t in allowed:
+        if allowed is not None and t in allowed:
             dom = 0
             for v in allowed[t]:
                 dom |= bit[v]
@@ -513,7 +493,7 @@ class FibrationReport:
         return f"FibrationReport({self.verdict})"
 
 
-def _restart_labelings(X, points, frozen, allowed, budget, rng=None):
+def _restart_labelings(X, points, allowed, budget, rng=None):
     """One labeling found via cheap randomized restarts; None is certified.
 
     Each attempt runs the full backtracking search under a node cutoff with
@@ -534,14 +514,13 @@ def _restart_labelings(X, points, frozen, allowed, budget, rng=None):
         else:
             order = random.Random(attempt) if attempt else None
         try:
-            sols = _labelings(X, points, frozen, allowed=allowed, rng=order,
-                              limit=1, budget=trial)
+            sols = _labelings(X, points, allowed, rng=order, limit=1,
+                              budget=trial)
             budget.spend(trial.allowance - trial.left)
             return sols[0] if sols else None
         except BudgetExceeded:
             budget.spend(trial.allowance)
-    sols = _labelings(X, points, frozen, allowed=allowed, limit=1,
-                      budget=budget)
+    sols = _labelings(X, points, allowed, limit=1, budget=budget)
     return sols[0] if sols else None
 
 
@@ -556,20 +535,19 @@ def _member_problems(f, k, i, eps, M, into_boundary, rng, samples, budget):
     region = _box_region(k, i, eps, M)
     w_points = _boundary_points(k, M) if into_boundary else _grid(M, k)
     if rng is None:
-        us = _labelings(X, region, {}, budget=budget)
+        us = _labelings(X, region, budget=budget)
     else:
         us = []
         for _ in range(samples):
-            got = _restart_labelings(X, region, {}, None, budget, rng=rng)
+            got = _restart_labelings(X, region, None, budget, rng=rng)
             if got is not None:
                 us.append(got)
     for u in us:
-        frozen = {t: f.assignment[u[t]] for t in region}
+        frozen = {t: {f.assignment[u[t]]} for t in region}
         if rng is None:
             ws = _labelings(Y, w_points, frozen, budget=budget)
         else:
-            got = _restart_labelings(Y, w_points, frozen, None, budget,
-                                     rng=rng)
+            got = _restart_labelings(Y, w_points, frozen, budget, rng=rng)
             ws = [got] if got is not None else []
         for w in ws:
             yield u, w
@@ -712,7 +690,7 @@ def _find_filler(f, k, i, eps, M, slack, u, w, into_boundary, budget):
                 cut.add(v)
             dom = cut
         allowed[t] = dom
-    return _restart_labelings(X, free, {}, allowed, budget)
+    return _restart_labelings(X, free, allowed, budget)
 
 
 def is_graph_n_fibration_bounded(

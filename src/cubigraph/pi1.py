@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, GraphMap, pullback, pi0
+from .graphs import Graph, GraphMap, _bfs, pullback, pi0
 
 
 def _trim(word):
@@ -67,6 +67,8 @@ def make_path(graph, word):
     word = tuple(word)
     if not word:
         raise ValueError("a path needs at least one vertex")
+    if word[0] not in graph.adj:
+        raise ValueError(f"{word[0]!r} is not a vertex")
     for u, v in zip(word, word[1:]):
         if not graph.adjacent(u, v):
             raise ValueError(f"consecutive vertices not adjacent: {u!r}, {v!r}")
@@ -405,18 +407,12 @@ def a1_presentation(X, x):
     """
     if x not in X.adj:
         raise ValueError(f"{x!r} is not a vertex")
-    parent = {x: None}
-    order = [x]
-    frontier = deque([x])
     pos = X._pos
-    while frontier:
-        u = frontier.popleft()
-        for w in sorted(X.adj[u], key=pos.__getitem__):
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-                frontier.append(w)
-    component = tuple(sorted(order, key=pos.__getitem__))
+    parent = {
+        v: p for v, p, _ in
+        _bfs(x, lambda u: sorted(X.adj[u], key=pos.__getitem__))
+    }
+    component = tuple(sorted(parent, key=pos.__getitem__))
     in_comp = set(component)
     tree = {(v, p) for v, p in parent.items() if p is not None}
     tree |= {(p, v) for v, p in tree}
@@ -482,21 +478,20 @@ def loop_word_trivial(pres, word, max_length=16, max_states=20000):
             cyc = rel[rot:] + rel[:rot]
             moves.append(cyc)
             moves.append(tuple((i, -s) for i, s in reversed(cyc)))
-    seen = {word}
-    frontier = deque([word])
-    while frontier:
-        cur = frontier.popleft()
+
+    def step(cur):
         for mv in moves:
             # insert a relator at every position, then freely reduce
             for j in range(len(cur) + 1):
                 nxt = _free_reduce(cur[:j] + mv + cur[j:])
-                if not nxt:
-                    return True
-                if len(nxt) <= max_length and nxt not in seen:
-                    if len(seen) >= max_states:
-                        return None  # undecided within the state cap
-                    seen.add(nxt)
-                    frontier.append(nxt)
+                if len(nxt) <= max_length:
+                    yield nxt
+
+    for n, (cur, _, _) in enumerate(_bfs(word, step)):
+        if not cur:
+            return True
+        if n >= max_states:
+            return None  # undecided within the state cap
     return None
 
 
@@ -615,12 +610,6 @@ def _lift_homotopy_square(f, eta, tau_img_lift, H_layers):
         width - len(tau_img_lift.word)
     )
     points = [(i, j) for i in range(rows) for j in range(width)]
-    frozen = {}
-    for j in range(width):
-        frozen[(0, j)] = bottom[j]
-        frozen[(rows - 1, j)] = top[j]
-    for i in range(rows):
-        frozen[(i, 0)] = eta.start
     fibers = {}
     for i, j in points:
         y = down[i][j]
@@ -628,11 +617,14 @@ def _lift_homotopy_square(f, eta, tau_img_lift, H_layers):
             fibers[y] = {
                 x for x in X.vertices if f.assignment[x] == y
             }
-    allowed = {
-        t: fibers[down[t[0]][t[1]]] for t in points if t not in frozen
-    }
+    allowed = {t: fibers[down[t[0]][t[1]]] for t in points}
+    for j in range(width):
+        allowed[(0, j)] = {bottom[j]}
+        allowed[(rows - 1, j)] = {top[j]}
+    for i in range(rows):
+        allowed[(i, 0)] = {eta.start}
     try:
-        sol = _restart_labelings(X, points, frozen, allowed, Budget(10**6))
+        sol = _restart_labelings(X, points, allowed, Budget(10**6))
     except BudgetExceeded:
         sol = None
     if sol is None:

@@ -91,6 +91,26 @@ def test_paths_homotopic_exit_codes(files, capsys):
     assert code == 1
 
 
+def test_path_word_outside_the_graph_is_input_error(files, capsys):
+    # a one-vertex word has no adjacency check to catch it, and a longer
+    # one used to die with a KeyError on its first pair
+    for word in ("99", "99,0"):
+        code, out = run(
+            ["paths-homotopic", "--graph", files["c4.json"],
+             "--p1", word, "--p2", word], capsys)
+        assert code == 2 and out == ""
+
+
+def test_repeated_vertex_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "rep.json"
+    bad.write_text(json.dumps(
+        {"vertices": [0, 0, 1, 2], "edges": [[0, 1], [1, 2], [2, 0]]}))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["nerve-stats", "--graph", str(bad), "--dim", "1"])
+    assert exit_info.value.code == 2
+    assert "repeated vertex: 0" in capsys.readouterr().err
+
+
 def test_check_graph_fibration(files, capsys):
     code, out = run(
         ["check-graph-fibration", "--map", files["c5-to-pt.json"],

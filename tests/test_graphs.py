@@ -155,6 +155,53 @@ def test_rotation_homotopic_but_constant_not_on_long_cycle():
         assert "steps" in res
 
 
+def test_a_homotopy_search_miss_at_the_length_cap():
+    # the half turn of C6 is three one-step moves from the identity
+    C6 = gr.cycle(6)
+    ident = gr.graph_identity(C6)
+    rot = gr.GraphMap(C6, C6, {v: (v + 3) % 6 for v in C6.vertices})
+    assert gr.a_homotopy_search(ident, rot, max_len=2) == {
+        "none_found": True, "exhausted": False}
+    res = gr.a_homotopy_search(ident, rot, max_len=3)
+    assert res["length"] == 3 and res["steps"][-1] == rot
+
+
+# a directed graph whose successor lists fix the search order
+_STEP = {0: [2, 1], 1: [3, 0], 2: [3], 3: [4], 4: [], 5: [0]}
+
+
+def test_bfs_order_parents_depths_and_depth_cap():
+    expanded = []
+
+    def step(a):
+        expanded.append(a)
+        return _STEP[a]
+
+    assert list(gr._bfs(0, step)) == [
+        (0, None, 0), (2, 0, 1), (1, 0, 1), (3, 2, 2), (4, 3, 3)]
+    assert expanded == [0, 2, 1, 3, 4]
+    expanded.clear()
+    assert list(gr._bfs(0, step, max_depth=2)) == [
+        (0, None, 0), (2, 0, 1), (1, 0, 1), (3, 2, 2)]
+    assert expanded == [0, 2, 1]
+    expanded.clear()
+    assert list(gr._bfs(0, step, max_depth=0)) == [(0, None, 0)]
+    assert expanded == []
+
+
+def test_shortest_path_exhausted_flag():
+    step = _STEP.__getitem__
+    assert gr._shortest_path(0, 4, step, 3)[0] == [0, 2, 3, 4]
+    assert gr._shortest_path(0, 0, step, 0)[0] == [0]
+    # a node at the cap, even one with no successors, leaves the miss
+    # inconclusive
+    assert gr._shortest_path(0, 5, step, 2) == (None, False)
+    assert gr._shortest_path(0, 5, step, 3) == (None, False)
+    assert gr._shortest_path(0, 5, step, 4) == (None, True)
+    assert gr._shortest_path(0, 5, step, None) == (None, True)
+    assert gr._shortest_path(0, 4, step, 2) == (None, False)
+
+
 def test_graph_json_round_trip():
     C5 = gr.cycle(5)
     J = gr.Graph.from_json(C5.to_json())

@@ -7,6 +7,7 @@ import pytest
 
 from cubigraph import lifting as lf
 from cubigraph import presheaf as ps
+from cubigraph import product as pr
 from cubigraph import site as st
 
 
@@ -188,3 +189,22 @@ def test_elementary_homotopy_connects_endpoints():
     assert f != g
     res = lf.elementary_homotopy_search(f, g)
     assert "chain" in res
+
+
+def test_elementary_homotopy_misses_at_the_chain_cap():
+    # opposite corners of the square are two elementary homotopies apart;
+    # a point off the interval is reachable at no length
+    I = ps.representable("cubical", 1, 1)
+    pt = ps.build_standard("cube", 0, trunc_dim=1).realized
+    corners = ps.enumerate_maps(pt, pr.geometric_product(I, I, trunc_dim=1))
+    f = corners[0]
+    far = [g for g in corners
+           if "chain" not in lf.elementary_homotopy_search(f, g, 1)]
+    assert len(far) == 1
+    assert lf.elementary_homotopy_search(f, far[0], 1) == {
+        "none_found": True, "exhausted": False}
+    res = lf.elementary_homotopy_search(f, far[0], 2)
+    assert res["length"] == 2 and res["chain"][-1] == far[0]
+    ends = ps.enumerate_maps(pt, ps.disjoint_union(I, pt))
+    found = [lf.elementary_homotopy_search(ends[0], g) for g in ends]
+    assert found.count({"none_found": True, "exhausted": True}) == 1

@@ -374,7 +374,7 @@ def test_search_order_is_pinned():
     assert rep.verdict == "yes_on_tested_range"
     assert rep.detail["tested"] == 2214
     # values with the most freedom first, ties in repr order
-    sols = nv._labelings(gr.cycle(4), nv._grid(1, 2), {}, limit=3)
+    sols = nv._labelings(gr.cycle(4), nv._grid(1, 2), limit=3)
     assert [tuple(s.values()) for s in sols] == [
         (0,) * 9, (0,) * 8 + (1,), (0,) * 8 + (3,)]
 
@@ -385,9 +385,9 @@ def test_distance_pruning_decides_before_search():
     # than in the grid
     I2 = gr.interval(2)
     points = nv._grid(1, 1)
-    assert nv._labelings(I2, points, {(-1,): 0}, allowed={(1,): set()},
+    assert nv._labelings(I2, points, {(-1,): {0}, (1,): set()},
                          budget=nv.Budget(0)) == []
-    assert nv._labelings(I2, points, {(-1,): 0, (0,): 2},
+    assert nv._labelings(I2, points, {(-1,): {0}, (0,): {2}},
                          budget=nv.Budget(0)) == []
 
 
@@ -415,8 +415,8 @@ def test_cycle_filler_agrees_with_exhaustive_search():
         frozen = {t: u[nv._clamp(t, 1)] for t in region}
         points = nv._grid(Ms, 2)
         verdict, table = nv._cycle_filler(order, points, frozen)
-        sols = nv._labelings(C5, points, frozen, budget=nv.Budget(10**7),
-                             limit=1)
+        sols = nv._labelings(C5, points, _domains(frozen, None),
+                             budget=nv.Budget(10**7), limit=1)
         assert (verdict == "labeling") == bool(sols)
         if table is not None:
             for t in region:
@@ -434,6 +434,13 @@ def test_cycle_order_detection():
     assert nv._cycle_order(gr.cycle(5)) is not None
     assert nv._cycle_order(gr.interval(3)) is None
     assert nv._cycle_order(gr.box_product(gr.interval(1), gr.interval(1)))
+
+
+def _domains(frozen, allowed):
+    """frozen (point -> vertex) and allowed (point -> vertex set) as one
+    nerve._labelings domain map, a frozen point a one-vertex domain that
+    wins over allowed."""
+    return {**(allowed or {}), **{t: {v} for t, v in frozen.items()}}
 
 
 def _oracle_labelings(X, points, frozen, allowed):
@@ -521,18 +528,17 @@ def test_labelings_agree_with_product_oracle():
     cases = 0
     for X, points, frozen, allowed, trial in _product_oracle_problems():
         want = _oracle_labelings(X, points, frozen, allowed)
-        got = nv._labelings(X, points, frozen, allowed=allowed,
-                            budget=nv.Budget(10**6))
+        domains = _domains(frozen, allowed)
+        got = nv._labelings(X, points, domains, budget=nv.Budget(10**6))
         ordered = sorted(points)
         as_tuples = [tuple(s[t] for t in ordered) for s in got]
         assert len(as_tuples) == len(set(as_tuples))
         assert set(as_tuples) == want
-        first = nv._labelings(X, points, frozen, allowed=allowed,
-                              limit=1, budget=nv.Budget(10**6))
-        assert first == got[:1]
-        drawn = nv._labelings(X, points, frozen, allowed=allowed,
-                              rng=random.Random(trial), limit=1,
+        first = nv._labelings(X, points, domains, limit=1,
                               budget=nv.Budget(10**6))
+        assert first == got[:1]
+        drawn = nv._labelings(X, points, domains, rng=random.Random(trial),
+                              limit=1, budget=nv.Budget(10**6))
         assert len(drawn) == min(1, len(want))
         for s in drawn:
             assert tuple(s[t] for t in ordered) in want
@@ -699,7 +705,8 @@ def _full_grid_find_filler(f, k, i, eps, M, slack, u, w, into_boundary,
             if decided is not None:
                 verdict, table = decided
                 return table if verdict == "labeling" else None
-    return nv._restart_labelings(X, points, frozen, allowed, budget)
+    return nv._restart_labelings(X, points, _domains(frozen, allowed),
+                                 budget)
 
 
 def test_live_point_scan_matches_the_full_scan():
@@ -710,13 +717,18 @@ def test_live_point_scan_matches_the_full_scan():
     half the spend runs out at the same step."""
     cases = cuts = 0
     for X, points, frozen, allowed, trial in _product_oracle_problems():
+        searches = (
+            functools.partial(nv._labelings, X, points,
+                              _domains(frozen, allowed)),
+            functools.partial(_full_scan_labelings, X, points, frozen,
+                              allowed),
+        )
         for seed, limit in ((None, None), (None, 1), (trial, 1)):
             runs = []
-            for search in (nv._labelings, _full_scan_labelings):
+            for search in searches:
                 budget = nv.Budget(10 ** 6)
                 rng = None if seed is None else random.Random(seed)
-                got = search(X, points, frozen, allowed=allowed, rng=rng,
-                             limit=limit, budget=budget)
+                got = search(rng=rng, limit=limit, budget=budget)
                 runs.append((got, budget.left))
             assert runs[0] == runs[1], (X, points, frozen, allowed)
             cases += 1
@@ -724,12 +736,11 @@ def test_live_point_scan_matches_the_full_scan():
             if spent < 2:
                 continue
             lefts = []
-            for search in (nv._labelings, _full_scan_labelings):
+            for search in searches:
                 budget = nv.Budget(spent // 2)
                 rng = None if seed is None else random.Random(seed)
                 with pytest.raises(nv.BudgetExceeded):
-                    search(X, points, frozen, allowed=allowed, rng=rng,
-                           limit=limit, budget=budget)
+                    search(rng=rng, limit=limit, budget=budget)
                 lefts.append(budget.left)
             assert lefts[0] == lefts[1]
             cuts += 1

@@ -22,6 +22,13 @@ def test_path_construction_and_trim():
     assert len(c.word) == 1
 
 
+def test_make_path_rejects_a_start_outside_the_graph():
+    C4 = gr.cycle(4)
+    for word in ((99,), (99, 0), (0, 99)):
+        with pytest.raises(ValueError):
+            pi1.make_path(C4, word)
+
+
 def test_concat_and_inverse():
     C5 = gr.cycle(5)
     p = pi1.make_path(C5, (0, 1, 2))
@@ -525,3 +532,67 @@ def test_loop_word_trivial_gives_up_within_the_state_cap():
 
     assert pi1.loop_word_trivial(pres, a + b + inv(a) + inv(b)) is None
     assert pi1.loop_word_trivial(pres, a) is False
+
+
+def _loop_word_oracle(pres, word, max_length=16, max_states=20000):
+    """Oracle: pi1.loop_word_trivial with its own breadth-first loop, as
+    it was before the shared graphs._bfs."""
+    word = pi1._free_reduce(word)
+    if not word:
+        return True
+    if not pres.relators:
+        return False
+    image = pi1._abelian_image(word, len(pres.generators))
+    if any(image) and not pi1._lattice_contains(pi1._relator_rows(pres),
+                                                image):
+        return False
+    moves = []
+    for rel in pres.relators:
+        for rot in range(len(rel)):
+            cyc = rel[rot:] + rel[:rot]
+            moves.append(cyc)
+            moves.append(tuple((i, -s) for i, s in reversed(cyc)))
+    seen = {word}
+    frontier = deque([word])
+    while frontier:
+        cur = frontier.popleft()
+        for mv in moves:
+            for j in range(len(cur) + 1):
+                nxt = pi1._free_reduce(cur[:j] + mv + cur[j:])
+                if not nxt:
+                    return True
+                if len(nxt) <= max_length and nxt not in seen:
+                    if len(seen) >= max_states:
+                        return None
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return None
+
+
+def test_loop_word_state_cap_agrees_with_oracle():
+    # conjugated relators are trivial, but the rewriting finds that only
+    # after holding some number S of words: at max_states S - 1 it gives
+    # up, at S it answers True
+    I1 = gr.interval(1)
+    rng = random.Random(1)
+    caps = 0
+    for G in (gr.box_product(gr.cycle(4), I1),
+              gr.box_product(gr.cycle(3), gr.cycle(3))):
+        pres = pi1.a1_presentation(G, G.vertices[0])
+        g = len(pres.generators)
+        for _ in range(8):
+            w = tuple((rng.randrange(g), rng.choice((1, -1)))
+                      for _ in range(2))
+            word = (w + tuple(rng.choice(pres.relators))
+                    + tuple((i, -s) for i, s in reversed(w)))
+            for max_length in (16, 8):
+                S = next((n for n in range(1, 400) if _loop_word_oracle(
+                    pres, word, max_length, n) is not None), None)
+                if S is None or S < 3:
+                    continue
+                for n, want in ((S - 1, None), (S, True)):
+                    assert _loop_word_oracle(pres, word, max_length, n) is want
+                    assert pi1.loop_word_trivial(pres, word, max_length,
+                                                 n) is want
+                caps += 1
+    assert caps >= 10
