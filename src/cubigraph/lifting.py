@@ -9,6 +9,7 @@ from __future__ import annotations
 from .presheaf import (
     PresheafMap,
     _open_cell_indices,
+    _prescription,
     build_standard,
     enumerate_maps,
     identity_map,
@@ -52,15 +53,10 @@ class LiftingProblem:
 def solve(problem, all_lifts=False):
     """Find h: B -> X with h.i = u and f.h = v, or certify absence."""
     i, f, u, v = problem.left, problem.right, problem.top, problem.bottom
-    A, B, X = i.source, i.target, f.source
-    forced = {}
-    for d in A.dims():
-        for a in A.cells[d]:
-            b = i.components[d][a]
-            want = u.components[d][a]
-            if forced.get((d, b), want) != want:
-                return {"no_lift": True}
-            forced[(d, b)] = want
+    B, X = i.target, f.source
+    forced = _prescription(i, lambda d, a: u.components[d][a])
+    if forced is None:
+        return {"no_lift": True}
     fiber = lambda d, b, x: f.components[d][x] == v.components[d][b]
     lifts = enumerate_maps(
         B, X, forced=forced, cand_filter=fiber,
@@ -74,25 +70,13 @@ def solve(problem, all_lifts=False):
 
 def squares_over(i, f):
     """All commuting squares (u, v) of i against f, deterministically."""
-    A, B = i.source, i.target
-    X, Y = f.source, f.target
     out = []
-    for u in enumerate_maps(A, X):
-        forced = {}
-        ok = True
-        for d in A.dims():
-            for a in A.cells[d]:
-                b = i.components[d][a]
-                want = f.components[d][u.components[d][a]]
-                if forced.get((d, b), want) != want:
-                    ok = False
-                    break
-                forced[(d, b)] = want
-            if not ok:
-                break
-        if not ok:
+    for u in enumerate_maps(i.source, f.source):
+        forced = _prescription(
+            i, lambda d, a: f.components[d][u.components[d][a]])
+        if forced is None:
             continue
-        for v in enumerate_maps(B, Y, forced=forced):
+        for v in enumerate_maps(i.target, f.target, forced=forced):
             out.append((u, v))
     return out
 

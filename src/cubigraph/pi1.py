@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import Graph, GraphMap, _bfs, pullback, pi0
+from .grid import BudgetExceeded, _restart_labelings
 
 
 def _trim(word):
@@ -589,7 +590,7 @@ def _lift_homotopy_square(f, eta, tau_img_lift, H_layers):
     """
     # imported here: nerve pulls in presheaf and site, which no other
     # function of this module needs
-    from .nerve import Budget, BudgetExceeded, _restart_labelings
+    from .nerve import Budget
 
     X = f.source
     width = max(

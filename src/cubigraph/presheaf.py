@@ -748,15 +748,23 @@ def is_isomorphic(X, Y, forced=None):
     return False, None
 
 
+def _prescription(i, image):
+    """The {(dim, cell): value} prescription on the target of the map i
+    sending i(c) to image(dim, c) for every cell c of its source, or None
+    when two cells with one image under i get different values."""
+    forced = {}
+    for d in i.source.dims():
+        comp = i.components[d]
+        for c in i.source.cells[d]:
+            want = image(d, c)
+            if forced.setdefault((d, comp[c]), want) != want:
+                return None
+    return forced
+
+
 def is_isomorphic_over(f, g):
     """Isomorphism A -> B commuting with maps f: Z -> A, g: Z -> B."""
-    Z = f.source
-    forced = {}
-    for d in Z.dims():
-        for c in Z.cells[d]:
-            a = f.components[d][c]
-            b = g.components[d][c]
-            if (d, a) in forced and forced[(d, a)] != b:
-                return False, None
-            forced[(d, a)] = b
+    forced = _prescription(f, lambda d, c: g.components[d][c])
+    if forced is None:
+        return False, None
     return is_isomorphic(f.target, g.target, forced=forced)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, and determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -274,9 +275,9 @@ def test_each_command_imports_only_its_modules(files, tmp_path):
     cases = [
         (["pi0", "--graph", f["c5.json"]], 0, "graphs"),
         (["pi0", "--graph", str(tmp_path / "missing.json")], 2, "graphs"),
-        (["a1", "--graph", f["c5.json"]], 0, "graphs pi1"),
+        (["a1", "--graph", f["c5.json"]], 0, "graphs grid pi1"),
         (["paths-homotopic", "--graph", f["c4.json"], "--p1", "0,1,2",
-          "--p2", "0,3,2"], 0, "graphs pi1"),
+          "--p2", "0,3,2"], 0, "graphs grid pi1"),
         (["sk", "--input", f["interval.json"], "--n", "1"], 0,
          "presheaf site skeleta"),
         (["cosk", "--input", f["interval.json"], "--n", "1"], 0,
@@ -289,16 +290,16 @@ def test_each_command_imports_only_its_modules(files, tmp_path):
         (["geometric-product", "--x", f["interval.json"],
           "--y", f["interval.json"]], 0, "presheaf product site"),
         (["nerve-stats", "--graph", f["c4.json"], "--dim", "1"], 0,
-         "graphs nerve presheaf site"),
+         "graphs grid nerve presheaf site"),
         (["check-graph-fibration", "--map", f["pt-to-i1.json"]], 1,
-         "graphs lifting nerve presheaf product site"),
+         "graphs grid lifting nerve presheaf product site"),
         (["psi-check", "--f", f["id-i1.json"], "--g", f["id-i1.json"],
-          "--samples", "2"], 0, "graphs nerve pi1 presheaf site"),
+          "--samples", "2"], 0, "graphs grid nerve pi1 presheaf site"),
         (["--config", str(bad_cfg), "nerve-stats", "--graph", f["c4.json"],
           "--dim", "1"], 2, ""),
         (["nerve-stats", "--graph", f["c4.json"], "--dim", "-1"], 2, ""),
         (["selftest"], 0,
-         "graphs lifting pi1 presheaf product site skeleta"),
+         "graphs grid lifting pi1 presheaf product site skeleta"),
     ]
     env = dict(os.environ, PYTHONPATH=_SRC)
     for argv, code, layers in cases:
@@ -316,6 +317,28 @@ def test_each_command_imports_only_its_modules(files, tmp_path):
     loaded = proc.stdout.split()
     assert "cubigraph.nerve" not in loaded
     assert "cubigraph.presheaf" not in loaded
+
+    # the labeling search needs no layer but graphs
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cubigraph.grid; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    loaded = [m for m in proc.stdout.split() if m.startswith("cubigraph.")]
+    assert loaded == ["cubigraph.graphs", "cubigraph.grid"]
+
+    # no module reaches into nerve's private names
+    private = []
+    for name in sorted(os.listdir(os.path.join(_SRC, "cubigraph"))):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(_SRC, "cubigraph", name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                    "nerve", "cubigraph.nerve"):
+                private += [(name, a.name) for a in node.names
+                            if a.name.startswith("_")]
+    assert private == []
 
 
 def test_json_reports_are_deterministic(files, capsys):

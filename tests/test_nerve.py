@@ -2,12 +2,10 @@
 
 import functools
 import itertools
-import math
 import random
 
-import pytest
-
 from cubigraph import graphs as gr
+from cubigraph import grid as gd
 from cubigraph import nerve as nv
 from cubigraph import presheaf as ps
 
@@ -16,7 +14,7 @@ def _brute_force_cubes(X, k, M_max):
     """Oracle: trimmed stable k-cubes enumerated by raw product search."""
     found = set()
     for M in range(M_max + 1):
-        grid = nv._grid(M, k)
+        grid = gd._grid(M, k)
         for combo in itertools.product(X.vertices, repeat=len(grid)):
             table = dict(zip(grid, combo))
             ok = True
@@ -53,7 +51,7 @@ def test_constant_cube():
 
 def test_enumerate_cubes_matches_brute_force():
     for X in (gr.interval(1), gr.cycle(3)):
-        for k, M in [(0, 2), (1, 1), (2, 1)]:
+        for k, M in [(0, 2), (1, 1), (1, 2), (2, 1)]:
             fast = set(nv.enumerate_cubes(X, k, M))
             slow = _brute_force_cubes(X, k, M)
             assert fast == slow
@@ -106,7 +104,7 @@ def test_nerve_operator_respects_composition():
         M = c.support
         for m in st.all_cube_morphisms(1, 2):
             res = N.act(c, 2, m)
-            for s in nv._grid(M + 1, 1):
+            for s in gd._grid(M + 1, 1):
                 at = tuple(_grid_term(t, s, M) for t in m.coords)
                 assert res.value(s) == c.value(at), (c, m, s)
     # face then degeneracy is the identity on every cube
@@ -122,7 +120,7 @@ def _oracle_clamp(x, M):
 
 @functools.lru_cache(maxsize=None)
 def _oracle_grid(M, k):
-    return tuple(nv._grid(M, k))
+    return tuple(gd._grid(M, k))
 
 
 def _oracle_value(c, t):
@@ -235,11 +233,11 @@ def test_is_cube_of_rejects_non_maps():
     assert nv.is_cube_of(square, C4)
     # one neighbouring pair 0, 2 that C4 does not join
     jump = list(square.values)
-    jump[nv._index((0, 0), 1)] = 2
+    jump[gd._index((0, 0), 1)] = 2
     assert not nv.is_cube_of(nv.StableCube(2, 1, tuple(jump)), C4)
     # one value that is no vertex
     alien = list(square.values)
-    alien[nv._index((1, 1), 1)] = 9
+    alien[gd._index((1, 1), 1)] = 9
     assert not nv.is_cube_of(nv.StableCube(2, 1, tuple(alien)), C4)
 
 
@@ -374,305 +372,15 @@ def test_search_order_is_pinned():
     assert rep.verdict == "yes_on_tested_range"
     assert rep.detail["tested"] == 2214
     # values with the most freedom first, ties in repr order
-    sols = nv._labelings(gr.cycle(4), nv._grid(1, 2), limit=3)
+    sols = gd._labelings(gr.cycle(4), gd._grid(1, 2), limit=3)
     assert [tuple(s.values()) for s in sols] == [
         (0,) * 9, (0,) * 8 + (1,), (0,) * 8 + (3,)]
-
-
-def test_distance_pruning_decides_before_search():
-    # no labeling, and none of the budget spent: an empty domain a decided
-    # point reaches, and two decided points farther apart in the graph
-    # than in the grid
-    I2 = gr.interval(2)
-    points = nv._grid(1, 1)
-    assert nv._labelings(I2, points, {(-1,): {0}, (1,): set()},
-                         budget=nv.Budget(0)) == []
-    assert nv._labelings(I2, points, {(-1,): {0}, (0,): {2}},
-                         budget=nv.Budget(0)) == []
 
 
 def test_stable_cube_json_round_trip():
     C3 = gr.cycle(3)
     for c in nv.enumerate_cubes(C3, 2, 1)[:12]:
         assert nv.StableCube.from_json(c.to_json()) == c
-
-
-def test_cycle_filler_agrees_with_exhaustive_search():
-    import random
-
-    C5 = gr.cycle(5)
-    f = gr.constant_map(C5, gr.interval(0), 0)
-    rng = random.Random(1)
-    order = nv._cycle_order(C5)
-    assert order is not None and len(order) == 5
-    budget = nv.Budget(10**7)
-    checked = 0
-    for u, w in nv._member_problems(f, 2, 1, 0, 1, False, None, 0, budget):
-        if checked >= 12:
-            break
-        Ms = 2
-        region = nv._box_region(2, 1, 0, Ms)
-        frozen = {t: u[nv._clamp(t, 1)] for t in region}
-        points = nv._grid(Ms, 2)
-        verdict, table = nv._cycle_filler(order, points, frozen)
-        sols = nv._labelings(C5, points, _domains(frozen, None),
-                             budget=nv.Budget(10**7), limit=1)
-        assert (verdict == "labeling") == bool(sols)
-        if table is not None:
-            for t in region:
-                assert table[t] == frozen[t]
-            for t in points:
-                for axis in range(2):
-                    s = t[:axis] + (t[axis] + 1,) + t[axis + 1:]
-                    if s in table:
-                        assert C5.adjacent(table[t], table[s])
-        checked += 1
-    assert checked
-
-
-def test_cycle_order_detection():
-    assert nv._cycle_order(gr.cycle(5)) is not None
-    assert nv._cycle_order(gr.interval(3)) is None
-    assert nv._cycle_order(gr.box_product(gr.interval(1), gr.interval(1)))
-
-
-def _domains(frozen, allowed):
-    """frozen (point -> vertex) and allowed (point -> vertex set) as one
-    nerve._labelings domain map, a frozen point a one-vertex domain that
-    wins over allowed."""
-    return {**(allowed or {}), **{t: {v} for t, v in frozen.items()}}
-
-
-def _oracle_labelings(X, points, frozen, allowed):
-    """Oracle: every labeling of the point set, by raw product search."""
-    points = sorted(points)
-    index = {t: j for j, t in enumerate(points)}
-    edges = []
-    for t in points:
-        for axis in range(len(t)):
-            s = t[:axis] + (t[axis] + 1,) + t[axis + 1:]
-            if s in index:
-                edges.append((index[t], index[s]))
-    domains = [
-        [frozen[t]] if t in frozen
-        else sorted(allowed[t], key=repr) if t in allowed
-        else list(X.vertices)
-        for t in points
-    ]
-    return {
-        combo
-        for combo in itertools.product(*domains)
-        if all(X.adjacent(combo[a], combo[b]) for a, b in edges)
-    }
-
-
-def _small_graphs(rng):
-    I1 = gr.interval(1)
-    out = [gr.interval(0), I1, gr.interval(2), gr.cycle(3), gr.cycle(4),
-           gr.cycle(5), gr.box_product(I1, I1)]
-    for _ in range(4):
-        n = rng.randint(2, 5)
-        pairs = list(itertools.combinations(range(n), 2))
-        # some of these are disconnected
-        out.append(gr.Graph(range(n), rng.sample(pairs, rng.randint(0, n))))
-    return out
-
-
-def _small_point_sets():
-    out = []
-    for M in (0, 1):
-        for k in (0, 1, 2):
-            out.append(nv._grid(M, k))
-            if k:
-                out.append(nv._boundary_points(k, M))
-            for i in range(1, k + 1):
-                for eps in (0, 1):
-                    out.append(nv._box_region(k, i, eps, M))
-    return out
-
-
-def _product_oracle_problems():
-    """Random graphs of at most 5 vertices, grids, open boxes and
-    boundaries with M <= 1, k <= 2, and random frozen/allowed constraints
-    (tightened until the product of the domain sizes is small enough to
-    enumerate); yields (X, points, frozen, allowed, trial)."""
-    rng = random.Random(2024)
-    for X in _small_graphs(rng):
-        verts = list(X.vertices)
-        for points in _small_point_sets():
-            for trial in range(3):
-                frozen, allowed = {}, {}
-                for t in points:
-                    r = rng.random()
-                    if trial and r < 0.2:
-                        frozen[t] = rng.choice(verts)
-                    elif trial and r < 0.4:
-                        allowed[t] = set(
-                            rng.sample(verts, rng.randint(0, len(verts))))
-                free = [t for t in points if t not in frozen]
-                rng.shuffle(free)
-
-                def size(t):
-                    if t in frozen:
-                        return 1
-                    return len(allowed[t]) if t in allowed else len(verts)
-
-                while free and math.prod(map(size, points)) > 20000:
-                    frozen[free.pop()] = rng.choice(verts)
-                yield X, points, frozen, allowed, trial
-
-
-def test_labelings_agree_with_product_oracle():
-    """The bitmask search against a brute-force oracle on
-    _product_oracle_problems."""
-    cases = 0
-    for X, points, frozen, allowed, trial in _product_oracle_problems():
-        want = _oracle_labelings(X, points, frozen, allowed)
-        domains = _domains(frozen, allowed)
-        got = nv._labelings(X, points, domains, budget=nv.Budget(10**6))
-        ordered = sorted(points)
-        as_tuples = [tuple(s[t] for t in ordered) for s in got]
-        assert len(as_tuples) == len(set(as_tuples))
-        assert set(as_tuples) == want
-        first = nv._labelings(X, points, domains, limit=1,
-                              budget=nv.Budget(10**6))
-        assert first == got[:1]
-        drawn = nv._labelings(X, points, domains, rng=random.Random(trial),
-                              limit=1, budget=nv.Budget(10**6))
-        assert len(drawn) == min(1, len(want))
-        for s in drawn:
-            assert tuple(s[t] for t in ordered) in want
-        cases += 1
-    assert cases > 300
-
-
-def _full_scan_labelings(X, points, frozen, allowed=None, rng=None,
-                         limit=None, budget=None):
-    """Oracle: nerve._labelings as it was before the live-point scan, its
-    minimum-remaining-values step scanning every point's domain.
-
-    Graph-map labelings of a point set with box adjacency.
-
-    Solved as a constraint problem with arc-consistency propagation and
-    minimum-remaining-values ordering (ties broken by point order, so
-    results are deterministic).  frozen: point -> forced vertex; allowed:
-    point -> permitted vertex set; rng shuffles value order (sampling);
-    limit caps the number of results; budget caps search steps.  Domains
-    are int bitmasks over the graph's vertices (see _graph_bits).
-    """
-    points = tuple(sorted(points))
-    _, nbrs, grid_balls = nv._shape(points)
-    verts, bit, closed, far = nv._graph_bits(X)
-    n = len(points)
-    full = (1 << len(verts)) - 1
-    domains = []
-    for t in points:
-        if t in frozen:
-            dom = bit[frozen[t]]
-        elif allowed is not None and t in allowed:
-            dom = 0
-            for v in allowed[t]:
-                dom |= bit[v]
-        else:
-            dom = full
-        domains.append(dom)
-
-    # distance pruning: a labeling is a graph map from the (reflexive)
-    # point grid, so it contracts distances -- a point at grid distance d
-    # from a decided point j can only take values within graph distance d
-    # of j's value w.  So v is ruled out on the grid ball around j of
-    # radius dist(v, w) - 1, and on all of j's component when w cannot
-    # reach v (index -1 picks the last ball).  A domain emptied on a point
-    # some decided point reaches leaves no labeling.
-    singles = [j for j in range(n) if domains[j].bit_count() == 1]
-    if singles and len(singles) < n:
-        ruled_out = dict.fromkeys(bit.values(), 0)
-        reach = 0
-        for j in singles:
-            around = grid_balls[j]
-            top = len(around) - 1
-            reach |= around[top]
-            for b, r in far[domains[j]]:
-                ruled_out[b] |= around[min(r, top)]
-        for i in range(n):
-            dom = domains[i]
-            for low in nv._bits(dom):
-                if ruled_out[low] >> i & 1:
-                    dom ^= low
-            if not dom and reach >> i & 1:
-                return []
-            domains[i] = dom
-
-    def propagate(queue, trail):
-        """AC-3 from the queued point indices; records removed masks on
-        trail."""
-        while queue:
-            if budget is not None:
-                budget.spend()
-            j = queue.pop()
-            dj = domains[j]
-            support = closed.get(dj)
-            if support is None:
-                support = 0
-                for low in nv._bits(dj):
-                    support |= closed[low]
-            for i in nbrs[j]:
-                di = domains[i]
-                dead = di & ~support
-                if dead:
-                    di ^= dead
-                    domains[i] = di
-                    trail.append((i, dead))
-                    if not di:
-                        return False
-                    queue.append(i)
-        return True
-
-    out = []
-    if not propagate(list(range(n)), []):
-        return out
-
-    def search():
-        if limit is not None and len(out) >= limit:
-            return
-        if budget is not None:
-            budget.spend()
-        # minimum remaining values, ties to the first point
-        sizes = list(map(int.bit_count, domains))
-        best_size = min(filter((1).__lt__, sizes), default=None)
-        if best_size is None:
-            # an empty domain here is a component with no value at all
-            if all(domains):
-                out.append({
-                    t: verts[dom.bit_length() - 1]
-                    for t, dom in zip(points, domains)
-                })
-            return
-        best = sizes.index(best_size)
-
-        def freedom(b):
-            cb = closed[b]
-            return sum((domains[i] & cb).bit_count() for i in nbrs[best])
-
-        saved = domains[best]
-        cands = list(nv._bits(saved))
-        if rng is not None:
-            rng.shuffle(cands)
-        else:
-            cands.sort(key=freedom, reverse=True)
-        for b in cands:
-            domains[best] = b
-            trail = []
-            if propagate([best], trail):
-                search()
-            for i, dead in trail:
-                domains[i] |= dead
-            domains[best] = saved
-            if limit is not None and len(out) >= limit:
-                return
-
-    search()
-    return out
 
 
 def _full_grid_find_filler(f, k, i, eps, M, slack, u, w, into_boundary,
@@ -682,10 +390,10 @@ def _full_grid_find_filler(f, k, i, eps, M, slack, u, w, into_boundary,
     with clamping."""
     X = f.source
     Ms = M + slack
-    region = nv._box_region(k, i, eps, Ms)
-    clamp = nv._clamp_map(k, Ms, M)
+    region = gd._box_region(k, i, eps, Ms)
+    clamp = gd._clamp_map(k, Ms, M)
     frozen = {t: u[clamp[t]] for t in region}
-    points = nv._boundary_points(k, Ms) if into_boundary else nv._grid(Ms, k)
+    points = gd._boundary_points(k, Ms) if into_boundary else gd._grid(Ms, k)
     fibers = {}
     for y in set(w.values()):
         fibers[y] = {x for x in X.vertices if f.assignment[x] == y}
@@ -697,54 +405,18 @@ def _full_grid_find_filler(f, k, i, eps, M, slack, u, w, into_boundary,
     if (not into_boundary or k >= 3) and all(
         len(a) == len(X.vertices) for a in allowed.values()
     ):
-        order = nv._cycle_order(X)
+        order = gd._cycle_order(X)
         # length >= 5 only: four unit steps cannot wrap such a cycle, so
         # labelings of simply connected regions lift to integer heights
         if order is not None and len(order) >= 5:
-            decided = nv._cycle_filler(order, points, frozen)
+            decided = gd._cycle_filler(order, points, frozen)
             if decided is not None:
                 verdict, table = decided
                 return table if verdict == "labeling" else None
-    return nv._restart_labelings(X, points, _domains(frozen, allowed),
-                                 budget)
-
-
-def test_live_point_scan_matches_the_full_scan():
-    """_labelings branches only on the points left with two or more values
-    after the first propagation; on _product_oracle_problems it returns the
-    same list and spends the same budget as the full scan, with and
-    without a value-order rng and a result limit, and a budget cut to
-    half the spend runs out at the same step."""
-    cases = cuts = 0
-    for X, points, frozen, allowed, trial in _product_oracle_problems():
-        searches = (
-            functools.partial(nv._labelings, X, points,
-                              _domains(frozen, allowed)),
-            functools.partial(_full_scan_labelings, X, points, frozen,
-                              allowed),
-        )
-        for seed, limit in ((None, None), (None, 1), (trial, 1)):
-            runs = []
-            for search in searches:
-                budget = nv.Budget(10 ** 6)
-                rng = None if seed is None else random.Random(seed)
-                got = search(rng=rng, limit=limit, budget=budget)
-                runs.append((got, budget.left))
-            assert runs[0] == runs[1], (X, points, frozen, allowed)
-            cases += 1
-            spent = 10 ** 6 - runs[0][1]
-            if spent < 2:
-                continue
-            lefts = []
-            for search in searches:
-                budget = nv.Budget(spent // 2)
-                rng = None if seed is None else random.Random(seed)
-                with pytest.raises(nv.BudgetExceeded):
-                    search(rng=rng, limit=limit, budget=budget)
-                lefts.append(budget.left)
-            assert lefts[0] == lefts[1]
-            cuts += 1
-    assert cases > 2000 and cuts > 1800
+    # allowed skips the frozen points, so a frozen point's domain is its
+    # one vertex
+    domains = {**allowed, **{t: {v} for t, v in frozen.items()}}
+    return gd._restart_labelings(X, points, domains, budget)
 
 
 def _filler_corpus():
@@ -767,8 +439,8 @@ def _filler_corpus():
 def _lift_table(k, i, eps, M, slack, u, filler):
     """The filler merged with u composed with clamping on the open box, or
     None when the filler disagrees with it there."""
-    table = {t: u[nv._clamp(t, M)]
-             for t in nv._box_region(k, i, eps, M + slack)}
+    table = {t: u[gd._clamp(t, M)]
+             for t in gd._box_region(k, i, eps, M + slack)}
     for t, x in filler.items():
         if table.setdefault(t, x) != x:
             return None
@@ -779,16 +451,16 @@ def _is_lift(f, k, M, slack, w, into_boundary, table):
     """Whether table labels the filler grid (or its boundary) with a graph
     map for box adjacency that lies over w composed with clamping."""
     Ms = M + slack
-    points = nv._boundary_points(k, Ms) if into_boundary else nv._grid(Ms, k)
+    points = gd._boundary_points(k, Ms) if into_boundary else gd._grid(Ms, k)
     if set(table) != set(points):
         return False
-    grid = nv._grid(Ms, k)
+    grid = gd._grid(Ms, k)
     for a, b in nv._grid_edges(k, Ms):
         s, t = grid[a], grid[b]
         if s in table and t in table and \
                 not f.source.adjacent(table[s], table[t]):
             return False
-    return all(f.assignment[x] == w[nv._clamp(t, M)]
+    return all(f.assignment[x] == w[gd._clamp(t, M)]
                for t, x in table.items())
 
 
@@ -832,7 +504,7 @@ def test_free_point_fillers_agree_with_full_grid_oracle():
                         # negative control: the first free point takes a
                         # vertex off its fibre, or one not adjacent to a
                         # grid neighbour's value
-                        box = nv._box_region(k, i, eps, M + slack)
+                        box = gd._box_region(k, i, eps, M + slack)
                         free = sorted(set(table) - set(box))
                         if not free:
                             continue
