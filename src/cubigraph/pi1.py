@@ -828,32 +828,33 @@ def _lift_path(f, x0, path_down):
     word = path_down.word
     if f.assignment[x0] != word[0]:
         raise ValueError("lift start does not sit over the path start")
+    # whether a prefix extends to a lift depends only on its length and
+    # its last vertex, and a depth-first search finishes a state's subtree
+    # before it pops that state again, so a state popped twice is a miss
     stack = [(x0,)]
-    seen = set()
+    popped = set()
     while stack:
         prefix = stack.pop()
-        if len(prefix) == len(word):
-            return make_path(X, prefix)
         j = len(prefix)
+        if j == len(word):
+            return make_path(X, prefix)
+        if (j, prefix[-1]) in popped:
+            continue
+        popped.add((j, prefix[-1]))
         for x2 in X.neighbors(prefix[-1]):
             if f.assignment[x2] == word[j]:
-                nxt = prefix + (x2,)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+                stack.append(prefix + (x2,))
     return None
 
 
 def _paths_between(graph, a, b, max_len):
     """All trimmed words from a to b with at most max_len steps."""
-    out = []
+    out = set()
     stack = [(a,)]
     while stack:
         prefix = stack.pop()
         if prefix[-1] == b:
-            t = _trim(prefix)
-            if t not in out:
-                out.append(t)
+            out.add(_trim(prefix))
         if len(prefix) <= max_len:
             for w in graph.neighbors(prefix[-1]):
                 stack.append(prefix + (w,))

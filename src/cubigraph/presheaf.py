@@ -89,7 +89,7 @@ class FinitePresheaf:
         except KeyError:
             pass
         table = None
-        for key_d, _ in self.ops.factor_keys(f):
+        for key_d in self.ops.factor(f):
             step = self.action[key_d]
             table = step if table is None else [step[j] for j in table]
         self._morphisms[f] = table
@@ -579,31 +579,42 @@ def quotient(X, pairs):
 
 
 def random_presheaf(site_name, trunc_dim, rng, max_nondeg=40):
-    """A random finite presheaf: glued standard cells with identified vertices."""
+    """A random finite presheaf: glued standard cells with identified
+    vertices, redrawn until it has at most max_nondeg nondegenerate cells.
+
+    Every draw has a vertex and, when trunc_dim >= 1, an edge, so a
+    max_nondeg below that floor is a ValueError.
+    """
+    floor = 2 if trunc_dim >= 1 else 1
+    if max_nondeg < floor:
+        raise ValueError(
+            f"max_nondeg must be at least {floor} at trunc_dim {trunc_dim}, "
+            f"not {max_nondeg}: no draw has fewer nondegenerate cells"
+        )
     kinds = (
         [("cube", 1), ("cube", 2), ("boundary_cube", 2), ("open_box", 2)]
         if site_name == "cubical"
         else [("simplex", 1), ("simplex", 2), ("boundary_simplex", 2), ("horn", 2)]
     )
-    pieces = []
-    for _ in range(rng.randint(1, 3)):
-        kind, k = kinds[rng.randrange(len(kinds))]
-        i = 1 if site_name == "cubical" else rng.randint(0, k)
-        eps = rng.randint(0, 1)
-        pieces.append(build_standard(kind, k, i, eps, trunc_dim).realized)
-    X = pieces[0]
-    for p in pieces[1:]:
-        X = disjoint_union(X, p)
-    verts = list(X.cells[0])
-    pairs = []
-    for _ in range(rng.randint(0, 3)):
-        if len(verts) >= 2:
-            a, b = rng.sample(verts, 2)
-            pairs.append((0, a, b))
-    Q, _ = quotient(X, pairs)
-    if Q.total_nondeg() > max_nondeg:
-        return random_presheaf(site_name, trunc_dim, rng, max_nondeg)
-    return Q
+    while True:
+        pieces = []
+        for _ in range(rng.randint(1, 3)):
+            kind, k = kinds[rng.randrange(len(kinds))]
+            i = 1 if site_name == "cubical" else rng.randint(0, k)
+            eps = rng.randint(0, 1)
+            pieces.append(build_standard(kind, k, i, eps, trunc_dim).realized)
+        X = pieces[0]
+        for p in pieces[1:]:
+            X = disjoint_union(X, p)
+        verts = list(X.cells[0])
+        pairs = []
+        for _ in range(rng.randint(0, 3)):
+            if len(verts) >= 2:
+                a, b = rng.sample(verts, 2)
+                pairs.append((0, a, b))
+        Q, _ = quotient(X, pairs)
+        if Q.total_nondeg() <= max_nondeg:
+            return Q
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def cube_tensor(f: CubeMorphism, g: CubeMorphism) -> CubeMorphism:
     return CubeMorphism(a + g.source_dim, f.coords + shifted)
 
 
-def _deepest_node_leaves(t, path=()):
+def _deepest_node_leaves(t):
     """Find a node all of whose children are leaves; return (op, leaf vars)."""
     if t[0] in ("c", "v"):
         return None
@@ -283,17 +283,20 @@ def _merge_leaves(t, j):
     return go(t)
 
 
+@lru_cache(maxsize=None)
 def cube_factor(m: CubeMorphism):
     """Factor m into generators: m = L[0] . L[1] . ... . L[-1].
 
-    Intermediate dimensions never exceed max(source_dim, target_dim).
+    Each L is the (key, acting_dim) pair that cube_generators(acting_dim, .)
+    lists the generator under.  Intermediate dimensions never exceed
+    max(source_dim, target_dim).
     """
     if m.is_identity():
-        return []
+        return ()
     for idx, t in enumerate(m.coords):
         if t[0] == "c":
             rest = CubeMorphism(m.source_dim, m.coords[: idx] + m.coords[idx + 1:])
-            return [cube_face(idx + 1, t[1], m.target_dim)] + cube_factor(rest)
+            return ((("face", idx + 1, t[1]), m.target_dim),) + cube_factor(rest)
     used = set()
     for t in m.coords:
         used |= term_support(t)
@@ -303,7 +306,7 @@ def cube_factor(m: CubeMorphism):
             rest = CubeMorphism(
                 m.source_dim - 1, tuple(_term_relabel(t, rel) for t in m.coords)
             )
-            return cube_factor(rest) + [cube_degeneracy(v, m.source_dim)]
+            return cube_factor(rest) + ((("deg", v), m.source_dim - 1),)
     # all variables used, no constants: peel one adjacent connection
     for idx, t in enumerate(m.coords):
         found = _deepest_node_leaves(t)
@@ -319,8 +322,29 @@ def cube_factor(m: CubeMorphism):
             )
             rest = CubeMorphism(m.source_dim - 1, coords)
             eps = 0 if op == "max" else 1
-            return cube_factor(rest) + [cube_connection(j, eps, m.source_dim)]
+            return cube_factor(rest) + ((("conn", j, eps), m.source_dim - 1),)
     raise AssertionError(f"cannot factor {m!r}")
+
+
+@lru_cache(maxsize=None)
+def cube_generators(k: int, trunc_dim: int):
+    """The (key, morphism) pairs of the generators acting on k-cells.
+
+    Each morphism has target dimension k: faces (lowering the cell
+    dimension), then degeneracies and connections (raising it) when
+    k + 1 <= trunc_dim.  Built once per (k, trunc_dim).
+    """
+    out = [
+        (("face", i, eps), cube_face(i, eps, k))
+        for i in range(1, k + 1) for eps in (0, 1)
+    ]
+    if k + 1 <= trunc_dim:
+        out += [(("deg", i), cube_degeneracy(i, k + 1)) for i in range(1, k + 2)]
+        out += [
+            (("conn", i, eps), cube_connection(i, eps, k + 1))
+            for i in range(1, k + 1) for eps in (0, 1)
+        ]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -386,54 +410,42 @@ def _terms_on(leaves: tuple):
 
 
 @lru_cache(maxsize=None)
-def all_cube_morphisms(m: int, n: int):
-    """All canonical morphisms [1]^m -> [1]^n, deterministically ordered."""
+def all_cube_epis(m: int, r: int):
+    """The constant-free morphisms [1]^m -> [1]^r, ordered by repr: one
+    canonical term on each block of each cut of the used variables into
+    exactly r consecutive blocks."""
+    if r == 0:
+        return (CubeMorphism(m, ()),)
     out = []
-    variables = list(range(1, m + 1))
-    for used in _subsets(variables):
-        for blocks in _ordered_blockings(used):
-            r = len(blocks)
-            if r > n:
-                continue
-            for positions in itertools.combinations(range(n), r):
-                const_slots = [j for j in range(n) if j not in positions]
-                term_opts = [_terms_on(b) for b in blocks]
-                for terms in itertools.product(*term_opts):
-                    for consts in itertools.product((0, 1), repeat=len(const_slots)):
-                        coords = [None] * n
-                        for p, t in zip(positions, terms):
-                            coords[p] = t
-                        for s, e in zip(const_slots, consts):
-                            coords[s] = ("c", e)
-                        out.append(CubeMorphism(m, tuple(coords)))
+    for size in range(r, m + 1):
+        for used in itertools.combinations(range(1, m + 1), size):
+            for cuts in itertools.combinations(range(1, size), r - 1):
+                bounds = (0,) + cuts + (size,)
+                blocks = [used[a:b] for a, b in zip(bounds, bounds[1:])]
+                for terms in itertools.product(*map(_terms_on, blocks)):
+                    out.append(CubeMorphism(m, terms))
     out.sort(key=repr)
     return tuple(out)
 
 
-def _subsets(items):
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
-
-
-def _ordered_blockings(used: tuple):
-    """Partitions of the sorted tuple `used` into ordered consecutive blocks."""
-    if not used:
-        return [()]
-    out = []
-    n = len(used)
-    for parts in _compositions(n):
-        blocks = []
-        pos = 0
-        for p in parts:
-            blocks.append(tuple(used[pos: pos + p]))
-            pos += p
-        out.append(tuple(blocks))
-    return out
-
-
 @lru_cache(maxsize=None)
-def all_cube_epis(m: int, n: int):
-    return tuple(f for f in all_cube_morphisms(m, n) if cube_is_epi_type(f))
+def all_cube_morphisms(m: int, n: int):
+    """All canonical morphisms [1]^m -> [1]^n, ordered by repr: each is an
+    epi [1]^m -> [1]^r with constants in the other n - r slots, the
+    mono . epi split of cube_mono_epi."""
+    out = []
+    for r in range(min(m, n) + 1):
+        for positions in itertools.combinations(range(n), r):
+            for consts in itertools.product((CONST0, CONST1), repeat=n - r):
+                for e in all_cube_epis(m, r):
+                    terms, fill = iter(e.coords), iter(consts)
+                    coords = tuple(
+                        next(terms) if j in positions else next(fill)
+                        for j in range(n)
+                    )
+                    out.append(CubeMorphism(m, coords))
+    out.sort(key=repr)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -490,22 +502,35 @@ def simplex_degeneracy(i: int, n: int) -> SimplexMorphism:
     return SimplexMorphism(n, tuple(vals))
 
 
+@lru_cache(maxsize=None)
 def simplex_factor(m: SimplexMorphism):
-    """m = faces . degeneracies, outermost first."""
+    """m = faces . degeneracies, outermost first, as the (key, acting_dim)
+    pairs of simplex_generators."""
     if m.is_identity():
-        return []
+        return ()
     missing = [v for v in range(m.target_dim + 1) if v not in m.values]
     if missing:
         i = missing[-1]
         rest = SimplexMorphism(
             m.target_dim - 1, tuple(v if v < i else v - 1 for v in m.values)
         )
-        return [simplex_face(i, m.target_dim)] + simplex_factor(rest)
+        return ((("face", i), m.target_dim),) + simplex_factor(rest)
     for k in range(len(m.values) - 1):
         if m.values[k] == m.values[k + 1]:
             rest = SimplexMorphism(m.target_dim, m.values[:k] + m.values[k + 1:])
-            return simplex_factor(rest) + [simplex_degeneracy(k, m.source_dim - 1)]
+            return simplex_factor(rest) + ((("deg", k), m.source_dim - 1),)
     raise AssertionError("unreachable")
+
+
+@lru_cache(maxsize=None)
+def simplex_generators(k: int, trunc_dim: int):
+    """The (key, morphism) pairs of the generators acting on k-simplices:
+    faces, then degeneracies when k + 1 <= trunc_dim.  Built once per
+    (k, trunc_dim)."""
+    out = [(("face", i), simplex_face(i, k)) for i in range(k + 1)] if k else []
+    if k + 1 <= trunc_dim:
+        out += [(("deg", i), simplex_degeneracy(i, k)) for i in range(k + 1)]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -522,100 +547,35 @@ def all_simplex_morphisms(m: int, n: int):
 # site dispatch
 
 
-class SiteOps:
-    """Uniform interface over the two sites used by the presheaf layer."""
+class CubicalSite:
+    """The cube category with both connections, as the presheaf layer acts
+    through it.  factor and generators are cached: each morphism is
+    factored once and each generator table is built once."""
 
-    def __init__(self, name):
-        self.name = name
-        self._factor_cache = {}
-
-    @property
-    def cubical(self):
-        return self.name == "cubical"
-
-    def identity(self, n):
-        return cube_identity(n) if self.cubical else simplex_identity(n)
-
-    def compose(self, g, f):
-        return cube_compose(g, f) if self.cubical else simplex_compose(g, f)
-
-    def all_morphisms(self, m, n):
-        return all_cube_morphisms(m, n) if self.cubical else all_simplex_morphisms(m, n)
-
-    def factor(self, m):
-        out = self._factor_cache.get(m)
-        if out is None:
-            out = cube_factor(m) if self.cubical else simplex_factor(m)
-            keyed = tuple(
-                (self.generator_key(g), g.source_dim) for g in out
-            )
-            self._factor_cache[m] = out = (out, keyed)
-        return out[0]
-
-    def factor_keys(self, m):
-        """Factorization as a list of ((gen_key, acting_dim), next_dim)."""
-        self.factor(m)
-        return self._factor_cache[m][1]
-
-    def generators(self, k, trunc_dim):
-        """Generator keys and morphisms acting on cells of dimension k.
-
-        Yields (key, morphism) with morphism target dimension k; faces lower
-        cell dimension, degeneracies/connections raise it.
-        """
-        out = []
-        if self.cubical:
-            if k >= 1:
-                for i in range(1, k + 1):
-                    for eps in (0, 1):
-                        out.append((("face", i, eps), cube_face(i, eps, k)))
-            if k + 1 <= trunc_dim:
-                for i in range(1, k + 2):
-                    out.append((("deg", i), cube_degeneracy(i, k + 1)))
-                for i in range(1, k + 1):
-                    for eps in (0, 1):
-                        out.append((("conn", i, eps), cube_connection(i, eps, k + 1)))
-        else:
-            if k >= 1:
-                for i in range(k + 1):
-                    out.append((("face", i), simplex_face(i, k)))
-            if k + 1 <= trunc_dim:
-                for i in range(k + 1):
-                    out.append((("deg", i), simplex_degeneracy(i, k)))
-        return out
-
-    def generator_key(self, g):
-        """Key + acting dimension for a generator morphism."""
-        if self.cubical:
-            n, m = g.source_dim, g.target_dim
-            if n == m - 1:
-                for i, t in enumerate(g.coords):
-                    if t[0] == "c":
-                        return ("face", i + 1, t[1]), m
-            if n == m + 1:
-                for i, t in enumerate(g.coords):
-                    if t[0] != "v" or t[1] != i + 1:
-                        if t[0] == "v":
-                            return ("deg", i + 1), m
-                        return ("conn", i + 1, 0 if t[0] == "max" else 1), m
-                return ("deg", n), m
-        else:
-            n, m = g.source_dim, g.target_dim
-            if n == m - 1:
-                missing = [v for v in range(m + 1) if v not in g.values][0]
-                return ("face", missing), m
-            if n == m + 1:
-                for i in range(len(g.values) - 1):
-                    if g.values[i] == g.values[i + 1]:
-                        return ("deg", g.values[i]), m
-        raise ValueError(f"not a generator: {g!r}")
+    name = "cubical"
+    identity = staticmethod(cube_identity)
+    compose = staticmethod(cube_compose)
+    all_morphisms = staticmethod(all_cube_morphisms)
+    factor = staticmethod(cube_factor)
+    generators = staticmethod(cube_generators)
 
 
-CUBICAL = SiteOps("cubical")
-SIMPLICIAL = SiteOps("simplicial")
+class SimplicialSite:
+    """The simplex category, as the presheaf layer acts through it."""
+
+    name = "simplicial"
+    identity = staticmethod(simplex_identity)
+    compose = staticmethod(simplex_compose)
+    all_morphisms = staticmethod(all_simplex_morphisms)
+    factor = staticmethod(simplex_factor)
+    generators = staticmethod(simplex_generators)
 
 
-def site_ops(name: str) -> SiteOps:
+CUBICAL = CubicalSite()
+SIMPLICIAL = SimplicialSite()
+
+
+def site_ops(name: str):
     if name == "cubical":
         return CUBICAL
     if name == "simplicial":

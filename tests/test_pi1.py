@@ -208,6 +208,57 @@ def test_lift_path_through_projection():
     assert lifted.mapped(p1).word == down.word
 
 
+def _lift_path_by_prefixes(f, x0, path_down):
+    """The exact path lift as a depth-first search that records every
+    pushed prefix, so it never prunes: the oracle for _lift_path."""
+    X = f.source
+    word = path_down.word
+    stack = [(x0,)]
+    seen = set()
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == len(word):
+            return pi1.make_path(X, prefix).word
+        j = len(prefix)
+        for x2 in X.neighbors(prefix[-1]):
+            if f.assignment[x2] == word[j]:
+                nxt = prefix + (x2,)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return None
+
+
+def _random_graph(rng, n, p):
+    return gr.Graph(range(n), [
+        e for e in itertools.combinations(range(n), 2) if rng.random() < p
+    ])
+
+
+def test_lift_path_matches_the_prefix_search():
+    rng = random.Random(0)
+    misses = 0
+    for _ in range(2000):
+        X = _random_graph(rng, rng.randint(1, 7), 0.4)
+        Y = _random_graph(rng, rng.randint(1, 4), 0.5)
+        f = gr.GraphMap(X, Y, {v: rng.randrange(len(Y.vertices))
+                               for v in X.vertices})
+        x0 = rng.choice(X.vertices)
+        word = [f.assignment[x0]]
+        for _ in range(rng.randint(0, 7)):
+            word.append(rng.choice(Y.neighbors(word[-1])))
+        down = pi1.make_path(Y, word)
+        lifted = pi1._lift_path(f, x0, down)
+        expected = _lift_path_by_prefixes(f, x0, down)
+        if expected is None:
+            misses += 1
+            assert lifted is None
+        else:
+            assert lifted.word == expected
+    # both outcomes are exercised
+    assert 200 < misses < 1800
+
+
 def test_isofibration_yes_and_counterexample():
     C5 = gr.cycle(5)
     proj = gr.GraphMap(

@@ -241,6 +241,19 @@ def test_random_presheaf_is_valid():
             X.validate()
 
 
+def test_random_presheaf_rejects_a_cap_no_draw_meets():
+    # every draw has a vertex and, from trunc_dim 1 on, an edge; a cap
+    # below that used to redraw until the recursion limit
+    for site in ("cubical", "simplicial"):
+        for trunc_dim, cap in ((0, 0), (1, 0), (1, 1), (2, 1)):
+            with pytest.raises(ValueError):
+                ps.random_presheaf(site, trunc_dim, random.Random(0), cap)
+        X = ps.random_presheaf(site, 2, random.Random(0), max_nondeg=2)
+        assert X.total_nondeg() == 2
+        X = ps.random_presheaf(site, 0, random.Random(0), max_nondeg=1)
+        assert X.total_nondeg() == 1
+
+
 def test_identity_and_compose():
     sq = ps.representable("cubical", 2, 2)
     ident = ps.identity_map(sq)
@@ -290,7 +303,7 @@ def _scan_nondeg(X, dim, memo):
 
 
 def _walk_act(X, cell, f):
-    for (key, d), _ in X.ops.factor_keys(f):
+    for key, d in X.ops.factor(f):
         cell = X.act_gen(key, d, cell)
     return cell
 

@@ -258,35 +258,93 @@ def test_tensor_of_generators():
 # --- factorization -------------------------------------------------------
 
 
+def _rebuild(ops, f):
+    """Compose the generators that ops.factor(f) names, each looked up by
+    its key in the generator table of its acting dimension."""
+    acc = ops.identity(f.source_dim)
+    for key, d in reversed(ops.factor(f)):
+        g = dict(ops.generators(d, d + 1))[key]
+        assert g.target_dim == d
+        acc = ops.compose(g, acc)
+    return acc
+
+
 def test_factor_recomposes_everywhere():
-    ops = st.CUBICAL
-    for m, n in [(0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
+    for m, n in itertools.product(range(4), repeat=2):
         for f in st.all_cube_morphisms(m, n):
-            parts = ops.factor(f)
-            acc = st.cube_identity(f.source_dim)
-            for g in reversed(parts):
-                acc = st.cube_compose(g, acc)
-            assert acc == f
-            for g in parts:
-                assert st.CUBICAL.generator_key(g) is not None
-
-
-def test_factor_keys_agree_with_factor():
-    ops = st.CUBICAL
-    for f in st.all_cube_morphisms(2, 2):
-        keys = ops.factor_keys(f)
-        parts = ops.factor(f)
-        assert len(keys) == len(parts)
+            assert _rebuild(st.CUBICAL, f) == f
 
 
 def test_simplex_factor_recomposes():
-    for m, n in [(0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]:
+    for m, n in itertools.product(range(4), repeat=2):
         for f in st.all_simplex_morphisms(m, n):
-            parts = st.SIMPLICIAL.factor(f)
-            acc = st.simplex_identity(f.source_dim)
-            for g in reversed(parts):
-                acc = st.simplex_compose(g, acc)
-            assert acc == f
+            assert _rebuild(st.SIMPLICIAL, f) == f
+
+
+@pytest.mark.parametrize("ops", [st.CUBICAL, st.SIMPLICIAL])
+def test_generator_tables_are_built_once(ops):
+    for k in range(4):
+        for trunc_dim in range(k, 5):
+            assert ops.generators(k, trunc_dim) is ops.generators(k, trunc_dim)
+
+
+def test_generator_tables_list_faces_then_degeneracies_then_connections():
+    # every caller walks a table in this order: faces, then degeneracies,
+    # then connections
+    assert [key for key, _ in st.CUBICAL.generators(1, 2)] == [
+        ("face", 1, 0), ("face", 1, 1), ("deg", 1), ("deg", 2),
+        ("conn", 1, 0), ("conn", 1, 1),
+    ]
+    assert [key for key, _ in st.SIMPLICIAL.generators(1, 2)] == [
+        ("face", 0), ("face", 1), ("deg", 0), ("deg", 1),
+    ]
+    assert st.CUBICAL.generators(2, 2) == tuple(
+        (("face", i, eps), st.cube_face(i, eps, 2))
+        for i in (1, 2) for eps in (0, 1)
+    )
+    assert st.SIMPLICIAL.generators(0, 0) == ()
+
+
+def _loop_nest_cube_morphisms(m, n):
+    """The hom-set as the full loop nest builds it: every used subset of
+    the variables, every ordered blocking of it into at most n blocks,
+    every choice of slots for the blocks, every canonical term on each
+    block and every constant in the other slots, sorted by repr."""
+    out = []
+    for size in range(m + 1):
+        for used in itertools.combinations(range(1, m + 1), size):
+            for parts in st._compositions(size):
+                r = len(parts)
+                if r > n:
+                    continue
+                cuts = list(itertools.accumulate((0,) + parts))
+                blocks = [used[a:b] for a, b in zip(cuts, cuts[1:])]
+                term_opts = [st._terms_on(b) for b in blocks]
+                for positions in itertools.combinations(range(n), r):
+                    const_slots = [j for j in range(n) if j not in positions]
+                    for terms in itertools.product(*term_opts):
+                        for consts in itertools.product(
+                            (0, 1), repeat=len(const_slots)
+                        ):
+                            coords = [None] * n
+                            for p, t in zip(positions, terms):
+                                coords[p] = t
+                            for j, e in zip(const_slots, consts):
+                                coords[j] = ("c", e)
+                            out.append(st.CubeMorphism(m, tuple(coords)))
+    out.sort(key=repr)
+    return tuple(out)
+
+
+def test_hom_sets_built_from_epis_match_the_full_loop_nest():
+    for m, n in itertools.product(range(5), repeat=2):
+        homs = _loop_nest_cube_morphisms(m, n)
+        assert st.all_cube_morphisms(m, n) == homs
+        filtered = tuple(f for f in homs if st.cube_is_epi_type(f))
+        assert st.all_cube_epis(m, n) == filtered
+        assert st.all_cube_epis(m, n) == tuple(
+            f for f in st.all_cube_morphisms(m, n) if st.cube_is_epi_type(f)
+        )
 
 
 def test_mono_epi_factorization():
