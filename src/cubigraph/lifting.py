@@ -7,7 +7,7 @@ search for elementary homotopies through the cylinder.
 from __future__ import annotations
 
 from .presheaf import (
-    PresheafMap,
+    _map,
     _open_cell_indices,
     _prescription,
     build_standard,
@@ -27,13 +27,13 @@ def empty_presheaf(site_name, trunc_dim):
 def terminal_map(X):
     """The unique map X -> standard 0-cell."""
     pt = representable(X.site, 0, X.trunc_dim)
-    comps = {d: {c: pt.cells[d][0] for c in X.cells[d]} for d in X.dims()}
-    return PresheafMap(X, pt, comps)
+    return _map(X, pt, [[0] * len(X.cells[d]) for d in X.dims()])
 
 
 def inclusion_of_subset(A, B):
     """Inclusion between presheaves whose cells literally coincide."""
-    return PresheafMap(A, B, {d: {c: c for c in A.cells[d]} for d in A.dims()})
+    return _map(A, B, [list(map(B._index[d].__getitem__, A.cells[d]))
+                       for d in A.dims()])
 
 
 class LiftingProblem:
@@ -42,24 +42,28 @@ class LiftingProblem:
         self.right = right
         self.top = top
         self.bottom = bottom
-        for d in left.source.dims():
-            for a in left.source.cells[d]:
-                if right.components[d][top.components[d][a]] != bottom.components[d][
-                    left.components[d][a]
-                ]:
-                    raise ValueError("lifting square does not commute")
+        for i, f, u, v in zip(left.images, right.images, top.images,
+                              bottom.images):
+            if list(map(f.__getitem__, u)) != list(map(v.__getitem__, i)):
+                raise ValueError("lifting square does not commute")
 
 
 def solve(problem, all_lifts=False):
     """Find h: B -> X with h.i = u and f.h = v, or certify absence."""
     i, f, u, v = problem.left, problem.right, problem.top, problem.bottom
     B, X = i.target, f.source
-    forced = _prescription(i, lambda d, a: u.components[d][a])
+    forced = _prescription(i, u.images)
     if forced is None:
         return {"no_lift": True}
-    fiber = lambda d, b, x: f.components[d][x] == v.components[d][b]
+    # the search keeps each cell of B to the fibre of f over its v-image
+    allowed = []
+    for d, (frow, vrow) in enumerate(zip(f.images, v.images)):
+        fibres = [0] * len(f.target.cells[d])
+        for x, y in enumerate(frow):
+            fibres[y] |= 1 << x
+        allowed.append(list(map(fibres.__getitem__, vrow)))
     lifts = enumerate_maps(
-        B, X, forced=forced, cand_filter=fiber,
+        B, X, forced=forced, allowed=allowed,
         limit=None if all_lifts else 1,
     )
     lifts = [h for h in lifts if f.compose(h) == v]
@@ -72,8 +76,7 @@ def squares_over(i, f):
     """All commuting squares (u, v) of i against f, deterministically."""
     out = []
     for u in enumerate_maps(i.source, f.source):
-        forced = _prescription(
-            i, lambda d, a: f.components[d][u.components[d][a]])
+        forced = _prescription(i, f.compose(u).images)
         if forced is None:
             continue
         for v in enumerate_maps(i.target, f.target, forced=forced):

@@ -4,8 +4,10 @@ A `FinitePresheaf` stores, for each dimension 0..trunc_dim, an ordered tuple
 of cell labels, plus one total function per generating site morphism.  A
 finite set of n cells is 0..n-1 and a function on it is a list: the action
 table of a generator is the list whose entry i is the index of the image of
-cell i.  Labels serve only `PresheafMap` components, JSON and repr.
-Generator keys follow the site conventions:
+cell i, and a `PresheafMap` stores one such list per dimension, its images.
+Labels name cells to callers only: the label view `PresheafMap.components`,
+lookups by label such as `act` and `root`, and repr; JSON names each cell
+by its index.  Generator keys follow the site conventions:
 
     cubical:     ("face", i, eps)   acts X_k -> X_{k-1}
                  ("deg", i)         acts X_k -> X_{k+1}
@@ -36,7 +38,9 @@ class FinitePresheaf:
 
     Tables derived from the action are built on first use: the root
     decompositions (_root_table), the action of any site morphism
-    (_morphism_table) and the face-preimage bitmasks (_face_preimages).
+    (_morphism_table), the face-preimage bitmasks (_face_preimages) and
+    the target-free part of a map search out of this presheaf
+    (_search_plan).
     """
 
     def __init__(self, site_name, trunc_dim, cells, action):
@@ -50,6 +54,7 @@ class FinitePresheaf:
             for d in range(trunc_dim + 1)
         }
         self._roots = self._nondeg = self._nondeg_mask = self._preimages = None
+        self._plan = None
         self._morphisms = {}
 
     # -- basic access -------------------------------------------------------
@@ -109,6 +114,51 @@ class FinitePresheaf:
                         masks[t] |= 1 << i
                     self._preimages[(key, d)] = masks
         return self._preimages
+
+    def _search_plan(self):
+        """The part of enumerate_maps out of this presheaf that does not
+        depend on the target, as a tuple:
+          order   the nondegenerate cells in search order, as (dim, index)
+          epis    the distinct root epis of the degenerate cells
+          where   d -> per d-cell, (search position of its root, slot of
+                  its root epi in epis, or -1 for a nondegenerate cell)
+          faces   per search position, its faces as (face key, position
+                  of the face's root, epi slot)
+          ready   per search position, the position after which all its
+                  faces are known (-1 when it has none)
+          gens    (dim k, source dim a, generator key, action table) for
+                  every generator, for the naturality check
+        """
+        if self._plan is not None:
+            return self._plan
+        roots = self._root_table()
+        order, epis, slot, where = [], [], {}, []
+        for d in self.dims():
+            row = []
+            for i, (r, rd, e) in enumerate(roots[d]):
+                if rd == d:
+                    row.append((len(order), -1))
+                    order.append((d, i))
+                    continue
+                if e not in slot:
+                    slot[e] = len(epis)
+                    epis.append(e)
+                row.append((where[rd][r][0], slot[e]))
+            where.append(row)
+        faces, ready = [], []
+        for d, i in order:
+            fs = [
+                (key,) + where[d - 1][self.action[(key, d)][i]]
+                for key, _ in self.generators_at(d) if key[0] == "face"
+            ]
+            faces.append(fs)
+            ready.append(max((p for _, p, _ in fs), default=-1))
+        gens = [
+            (k, g.source_dim, key, self.action[(key, k)])
+            for k in self.dims() for key, g in self.generators_at(k)
+        ]
+        self._plan = order, epis, where, faces, ready, gens
+        return self._plan
 
     # -- root decomposition ---------------------------------------------------
 
@@ -244,35 +294,60 @@ def _from_images(site_name, trunc_dim, cells, image):
 
 
 class PresheafMap:
+    """A map source -> target, stored as images: d -> list, entry i the
+    index in target.cells[d] of the image of source cell i.
+
+    The constructor takes label dicts, components: d -> {source cell:
+    target cell}; a cell it leaves out is None in images and a value that
+    is no target cell is the index one past the last, both of which
+    validate reports.  The label view `components` is kept as given, or
+    built on first use for a map made from images (_map)."""
+
     def __init__(self, source, target, components):
         self.source = source
         self.target = target
-        self.components = {
+        self._components = {
             d: dict(components.get(d, {})) for d in source.dims()
         }
+        self.images = []
+        for d, comp in self._components.items():
+            index = target._index.get(d, {})
+            past = len(index)
+            self.images.append([
+                index.get(comp[c], past) if c in comp else None
+                for c in source.cells[d]
+            ])
 
-    def __call__(self, dim, cell):
-        return self.components[dim][cell]
+    @property
+    def components(self):
+        if self._components is None:
+            self._components = {
+                d: dict(zip(self.source.cells[d],
+                            map(self.target.cells[d].__getitem__, row)))
+                for d, row in enumerate(self.images)
+            }
+        return self._components
 
     def validate(self):
         X, Y = self.source, self.target
         if X.site != Y.site or X.trunc_dim != Y.trunc_dim:
             raise ValueError("source/target shape mismatch")
-        for d in X.dims():
-            for c in X.cells[d]:
-                if c not in self.components[d]:
+        for d, row in enumerate(self.images):
+            size = len(Y.cells[d])
+            for v in row:
+                if v is None:
                     raise ValueError(f"map not total at dim {d}")
-                if not Y.has_cell(d, self.components[d][c]):
+                if not 0 <= v < size:
                     raise ValueError(f"map leaves target cells at dim {d}")
         for k in X.dims():
             for key, g in X.generators_at(k):
-                a = g.source_dim
-                for c in X.cells[k]:
-                    lhs = self.components[a][X.act_gen(key, k, c)]
-                    rhs = Y.act_gen(key, k, self.components[k][c])
-                    if lhs != rhs:
+                low, high = self.images[g.source_dim], self.images[k]
+                ytab = Y.action[(key, k)]
+                for c, y in enumerate(X.action[(key, k)]):
+                    if low[y] != ytab[high[c]]:
                         raise ValueError(
-                            f"naturality failure: gen {key} at dim {k} on {c!r}"
+                            f"naturality failure: gen {key} at dim {k} "
+                            f"on {X.cells[k][c]!r}"
                         )
         return True
 
@@ -284,77 +359,87 @@ class PresheafMap:
 
     def compose(self, other):
         """self after other."""
-        if other.target is not self.source and (
-            other.target.cells != self.source.cells
-        ):
+        if not _same_cells(other.target, self.source):
             raise ValueError("composition mismatch")
-        comps = {
-            d: {c: self.components[d][v] for c, v in other.components[d].items()}
-            for d in other.source.dims()
-        }
-        return PresheafMap(other.source, self.target, comps)
+        return _map(other.source, self.target, [
+            list(map(row.__getitem__, inner))
+            for row, inner in zip(self.images, other.images)
+        ])
 
     def is_levelwise_bijection(self):
-        for d in self.source.dims():
-            vals = set(self.components[d].values())
-            if len(vals) != len(self.source.cells[d]) or len(vals) != len(
-                self.target.cells[d]
-            ):
-                return False
-        return True
+        return all(
+            len(set(row)) == len(row) == len(self.target.cells[d])
+            for d, row in enumerate(self.images)
+        )
 
     def __eq__(self, other):
         return (
-            isinstance(other, PresheafMap) and self.components == other.components
+            isinstance(other, PresheafMap)
+            and self.images == other.images
+            and _same_cells(self.source, other.source)
+            and _same_cells(self.target, other.target)
         )
 
     def __hash__(self):
-        return hash(
-            tuple(
-                tuple(sorted(self.components[d].items(), key=repr))
-                for d in sorted(self.components)
-            )
-        )
+        return hash((tuple(map(tuple, self.images)),
+                     tuple(map(len, self.target.cells.values()))))
+
+
+def _same_cells(X, Y):
+    return X is Y or X.cells == Y.cells
+
+
+def _map(source, target, images):
+    """The PresheafMap with the given images, built without labels."""
+    f = PresheafMap.__new__(PresheafMap)
+    f.source, f.target, f.images = source, target, images
+    f._components = None
+    return f
 
 
 def map_to_json(f):
     """Serialize a presheaf map with both objects, cells relabeled to the
     per-dimension integers used by FinitePresheaf.to_json."""
-    rel_t = f.target._index
     return {
         "source": f.source.to_json(),
         "target": f.target.to_json(),
-        "components": {
-            str(d): [
-                rel_t[d][f.components[d][c]] for c in f.source.cells[d]
-            ]
-            for d in f.source.dims()
-        },
+        "components": {str(d): list(row) for d, row in enumerate(f.images)},
     }
 
 
 def map_from_json(data):
     source = FinitePresheaf.from_json(data["source"])
     target = FinitePresheaf.from_json(data["target"])
-    components = {}
-    for d, images in data["components"].items():
-        d = int(d)
-        cells, size = source.cells[d], len(target.cells[d])
+    if (source.site, source.trunc_dim) != (target.site, target.trunc_dim):
+        raise ValueError(
+            f"source ({source.site}, trunc_dim {source.trunc_dim}) and "
+            f"target ({target.site}, trunc_dim {target.trunc_dim}) "
+            f"differ in site or truncation"
+        )
+    images = [[None] * len(source.cells[d]) for d in source.dims()]
+    for key, row in data["components"].items():
+        d = int(key)
+        if d not in source.dims():
+            raise ValueError(
+                f"component {key!r} names no dimension of the source "
+                f"(0..{source.trunc_dim})"
+            )
+        size = len(target.cells[d])
         # bool is an int subclass, and a negative index would wrap around
-        if len(images) != len(cells) or not all(
-            type(v) is int and 0 <= v < size for v in images
+        if type(row) is not list or len(row) != len(images[d]) or not all(
+            type(v) is int and 0 <= v < size for v in row
         ):
             raise ValueError(
                 f"component {d} does not send each source cell to a target cell"
             )
-        components[d] = {c: target.cells[d][v] for c, v in zip(cells, images)}
-    f = PresheafMap(source, target, components)
+        images[d] = row
+    f = _map(source, target, images)
     f.validate()
     return f
 
 
 def identity_map(X):
-    return PresheafMap(X, X, {d: {c: c for c in X.cells[d]} for d in X.dims()})
+    return _map(X, X, [list(range(len(X.cells[d]))) for d in X.dims()])
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +487,7 @@ def subpresheaf(X, keep):
     cells = {d: tuple(map(X.cells[d].__getitem__, old))
              for d, old in kept.items()}
     A = FinitePresheaf(X.site, X.trunc_dim, cells, action)
-    incl = PresheafMap(A, X, {d: {c: c for c in cells[d]} for d in X.dims()})
-    return A, incl
+    return A, _map(A, X, [kept[d] for d in X.dims()])
 
 
 # per site: the kinds of its whole cells, boundaries and open boxes/horns
@@ -571,11 +655,7 @@ def quotient(X, pairs):
             table, row = X.action[(key, d)], renumber[g.source_dim]
             action[(key, d)] = [row[table[i]] for i in roots[d]]
     Q = FinitePresheaf(X.site, X.trunc_dim, cells, action)
-    proj = PresheafMap(X, Q, {
-        d: dict(zip(X.cells[d], map(cells[d].__getitem__, renumber[d])))
-        for d in X.dims()
-    })
-    return Q, proj
+    return Q, _map(X, Q, [renumber[d] for d in X.dims()])
 
 
 def random_presheaf(site_name, trunc_dim, rng, max_nondeg=40):
@@ -622,89 +702,85 @@ def random_presheaf(site_name, trunc_dim, rng, max_nondeg=40):
 
 
 def enumerate_maps(A, X, forced=None, injective_nondeg=False, limit=None,
-                   cand_filter=None):
+                   allowed=None):
     """All presheaf maps A -> X by backtracking over nondegenerate cells.
 
-    forced: optional {(dim, cell): image} partial prescription (cells may be
-    degenerate; degenerate prescriptions are checked after assembly).
+    forced: optional prescription, a list whose entry d is a dict {index
+    of a d-cell of A: index of a d-cell of X}; cells may be degenerate,
+    and degenerate prescriptions are checked after assembly.  A value
+    that is no cell index of X admits no map.
     injective_nondeg: restrict the search to maps sending nondegenerate cells
     injectively to nondegenerate cells (complete for isomorphism search).
-    cand_filter: optional predicate (dim, source_cell, candidate) pruning the
-    image choices of non-forced nondegenerate cells (a search hint only;
-    callers needing it as a guarantee must re-check the returned maps).
+    allowed: optional list whose entry d holds, per d-cell i of A, a
+    bitmask of the d-cells of X that cell i may go to; it restricts the
+    choices of non-forced nondegenerate cells (a search hint only: callers
+    needing it as a guarantee must re-check the returned maps).
 
-    The search runs on cell indices.  The candidates for a
-    nondegenerate cell are the cells of X whose faces match the images of
-    its faces: the AND of the face-preimage bitmasks, taken lowest bit
-    first, which is stored order.  Every assembled map is checked for
+    The candidates for a nondegenerate cell are the cells of X whose faces
+    match the images of its faces: the AND of the face-preimage bitmasks
+    over its pool (every cell, or the nondegenerate ones when injective,
+    and its allowed mask), taken lowest bit first, which is stored order.
+    The search checks ahead (forward checking): after choosing a value at
+    a position it takes each later cell whose faces are then all known,
+    forced cells too, and drops the value if such a cell has no candidate
+    left.  That cuts only subtrees that hold no map, so the maps and their
+    order do not depend on it.  Every assembled map is checked for
     naturality and for the forced values before it is returned.
     """
     if A.site != X.site or A.trunc_dim != X.trunc_dim:
         raise ValueError("shape mismatch")
-    roots_a = A._root_table()
+    order, epis, where, faces_a, ready, gens = A._search_plan()
+    forced = forced or []
+    forced_checks = []  # (dim, cells of A, their prescribed values)
+    for d, pairs in enumerate(forced):
+        size = len(X.cells[d])
+        if not all(0 <= x < size for x in pairs.values()):
+            return []  # no map reaches a value that is no cell
+        if pairs:
+            forced_checks.append((d, list(pairs), list(pairs.values())))
     preimages = X._face_preimages()
-    dims = A.dims()
-    forced_at = []  # (dim, A index, X index)
-    for (d, c), v in (forced or {}).items():
-        x = X._index[d].get(v)
-        if x is None:  # no map reaches a value that is not a cell of X
-            return []
-        forced_at.append((d, A._index[d][c], x))
-
-    # the nondegenerate cells of A in search order, and per cell of A its
-    # image as (search position of its root, X table of its epi or None)
-    position = {}
-    assemble = []
-    for d in dims:
-        row = []
-        for i, (r, rd, e) in enumerate(roots_a[d]):
-            if rd == d:
-                position[(d, i)] = len(position)
-                row.append((position[(d, i)], None))
-            else:
-                row.append((position[(rd, r)], X._morphism_table(e)))
-        assemble.append(row)
-    fixed = {
-        position[(d, i)]: x for d, i, x in forced_at if (d, i) in position
-    }
-    plan = [
-        (d, A.cells[d][i], fixed.get(t), [
-            (preimages[(key, d)],) + assemble[d - 1][A.action[(key, d)][i]]
-            for key, _ in A.generators_at(d)
-            if key[0] == "face"
-        ])
-        for (d, i), t in position.items()
-    ]
+    etabs = [X._morphism_table(e) for e in epis]
     if injective_nondeg:
         X._root_table()
-        pool = [X._nondeg_mask[d] for d in dims]
+        pool = [X._nondeg_mask[d] for d in A.dims()]
     else:
-        pool = [(1 << len(X.cells[d])) - 1 for d in dims]
-    checks = [
-        (k, g.source_dim, A.action[(key, k)], X.action[(key, k)])
-        for k in dims
-        for key, g in A.generators_at(k)
-    ]
+        pool = [(1 << len(X.cells[d])) - 1 for d in A.dims()]
+    # per search position: (dim, forced value or None, its pool, its
+    # faces as (face-preimage masks, position of the face's root, X table
+    # of its epi or None))
+    plan = []
+    for (d, i), fs in zip(order, faces_a):
+        mask = pool[d] if allowed is None else pool[d] & allowed[d][i]
+        plan.append((
+            d, forced[d].get(i) if d < len(forced) else None, mask,
+            [(preimages[(key, d)], p, None if s < 0 else etabs[s])
+             for key, p, s in fs],
+        ))
+    # per search position: the later cells whose faces are all known once
+    # it is, each as (its candidates before its faces are read, its faces)
+    wakes = [[] for _ in plan]
+    for w, t in enumerate(ready):
+        if t >= 0:
+            _, fixed, mask, fs = plan[w]
+            wakes[t].append((mask if fixed is None else 1 << fixed, fs))
+    checks = [(a, atab, k, X.action[(key, k)]) for k, a, key, atab in gens]
     results = []
     val = [0] * len(plan)
     used = [0] * len(pool)
 
     def finish():
         comps = [
-            [val[p] if etab is None else etab[val[p]] for p, etab in row]
-            for row in assemble
+            [val[p] if s < 0 else etabs[s][val[p]] for p, s in row]
+            for row in where
         ]
-        for k, a, atab, xtab in checks:
-            ca = comps[a]
-            if [ca[y] for y in atab] != [xtab[v] for v in comps[k]]:
+        for a, atab, k, xtab in checks:
+            if list(map(comps[a].__getitem__, atab)) != list(
+                    map(xtab.__getitem__, comps[k])):
                 return
-        for d, i, x in forced_at:
-            if comps[d][i] != x:
+        for d, cells, values in forced_checks:
+            if list(map(comps[d].__getitem__, cells)) != values:
                 return
-        results.append(PresheafMap(A, X, {
-            d: dict(zip(A.cells[d], map(X.cells[d].__getitem__, comps[d])))
-            for d in dims
-        }))
+        results.append(_map(A, X, comps))
 
     def backtrack(t):
         if limit is not None and len(results) >= limit:
@@ -712,40 +788,51 @@ def enumerate_maps(A, X, forced=None, injective_nondeg=False, limit=None,
         if t == len(plan):
             finish()
             return
-        d, c, x_fixed, faces = plan[t]
+        d, x_fixed, mask, faces = plan[t]
         if x_fixed is not None:
             cands = (x_fixed,)
         else:
-            mask = pool[d] & ~used[d] if injective_nondeg else pool[d]
+            if injective_nondeg:
+                mask &= ~used[d]
             for masks, p, etab in faces:
                 v = val[p]
                 mask &= masks[v if etab is None else etab[v]]
                 if not mask:
                     break
             cands = []
-            xcells = X.cells[d]
             while mask:
                 low = mask & -mask
                 mask ^= low
-                x = low.bit_length() - 1
-                if cand_filter is None or cand_filter(d, c, xcells[x]):
-                    cands.append(x)
+                cands.append(low.bit_length() - 1)
+        ahead = wakes[t]
         for x in cands:
             val[t] = x
-            if injective_nondeg:
-                bit = 1 << x
-                used[d] |= bit
-                backtrack(t + 1)
-                used[d] &= ~bit
+            # forward check: for/else reaches the recursion only when
+            # every cell woken here keeps a candidate
+            for m, fs in ahead:
+                for masks, p, etab in fs:
+                    v = val[p]
+                    m &= masks[v if etab is None else etab[v]]
+                    if not m:
+                        break
+                if not m:
+                    break
             else:
-                backtrack(t + 1)
+                if injective_nondeg:
+                    bit = 1 << x
+                    used[d] |= bit
+                    backtrack(t + 1)
+                    used[d] &= ~bit
+                else:
+                    backtrack(t + 1)
 
     backtrack(0)
     return results
 
 
 def is_isomorphic(X, Y, forced=None):
-    """Isomorphism test with witness; optional forced partial assignment."""
+    """Isomorphism test with witness; forced is an optional prescription
+    in the index form of enumerate_maps."""
     if X.site != Y.site or X.trunc_dim != Y.trunc_dim:
         raise ValueError("shape mismatch")
     for d in X.dims():
@@ -759,23 +846,23 @@ def is_isomorphic(X, Y, forced=None):
     return False, None
 
 
-def _prescription(i, image):
-    """The {(dim, cell): value} prescription on the target of the map i
-    sending i(c) to image(dim, c) for every cell c of its source, or None
-    when two cells with one image under i get different values."""
-    forced = {}
-    for d in i.source.dims():
-        comp = i.components[d]
-        for c in i.source.cells[d]:
-            want = image(d, c)
-            if forced.setdefault((d, comp[c]), want) != want:
-                return None
+def _prescription(i, images):
+    """The prescription, in the index form of enumerate_maps, on the target
+    of the map i that sends cell i(c) to images[dim][c] for every cell c
+    of its source, or None when two cells with one image under i get
+    different values."""
+    forced = []
+    for row, want in zip(i.images, images):
+        pairs = dict(zip(row, want))
+        if list(map(pairs.__getitem__, row)) != list(want):
+            return None
+        forced.append(pairs)
     return forced
 
 
 def is_isomorphic_over(f, g):
     """Isomorphism A -> B commuting with maps f: Z -> A, g: Z -> B."""
-    forced = _prescription(f, lambda d, c: g.components[d][c])
+    forced = _prescription(f, g.images)
     if forced is None:
         return False, None
     return is_isomorphic(f.target, g.target, forced=forced)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from . import site as st
-from .presheaf import FinitePresheaf, PresheafMap, _from_images, _UnionFind
+from .presheaf import FinitePresheaf, _from_images, _map, _UnionFind
 from .site import CubeMorphism, SimplexMorphism, cube_compose, cube_tensor
 
 
@@ -123,25 +123,28 @@ def end_inclusion(X, P, interval, eps):
     for v in interval.cells[0]:
         if v.coords[0] == ("c", eps):
             vert = v
-    comps = {}
+    images = []
     for d in X.dims():
-        comps[d] = {}
+        row = []
         for c in X.cells[d]:
             r, rd, e = X.root(c, d)
-            comps[d][c] = ((rd, r), (0, vert), e)
-    return PresheafMap(X, P, comps)
+            row.append(P.cell_index(d, ((rd, r), (0, vert), e)))
+        images.append(row)
+    return _map(X, P, images)
 
 
 def product_projection(X, P):
     """The map P = X (x) interval -> X collapsing the interval factor."""
-    comps = {}
+    images = []
     for n in P.dims():
-        comps[n] = {}
-        for cell in P.cells[n]:
-            (p, x), (q, y), e = cell
+        row = []
+        for (p, x), (q, _), e in P.cells[n]:
             proj = CubeMorphism(p + q, tuple(("v", j) for j in range(1, p + 1)))
-            comps[n][cell] = X.act(x, p, cube_compose(proj, e))
-    return PresheafMap(P, X, comps)
+            table = X._morphism_table(cube_compose(proj, e))
+            i = X.cell_index(p, x)
+            row.append(i if table is None else table[i])
+        images.append(row)
+    return _map(P, X, images)
 
 
 def cylinder(X):

@@ -18,9 +18,8 @@ from . import site as st
 from .presheaf import (
     _SITE_KINDS,
     FinitePresheaf,
-    PresheafMap,
     _cell_signature,
-    _from_images,
+    _map,
     _open_cell_indices,
     _standard_keep,
     enumerate_maps,
@@ -51,16 +50,21 @@ def skeleton_map(f, n):
     """Restriction of f: A -> B to a map sk_n A -> sk_n B."""
     A, iA = skeleton(f.source, n)
     B, iB = skeleton(f.target, n)
-    comps = {
-        d: {c: f.components[d][c] for c in A.cells[d]} for d in A.dims()
-    }
-    return PresheafMap(A, B, comps), iA, iB
+    images = []
+    for d in A.dims():
+        # one past the last cell of B: f leaves sk_n of its target
+        renumber = [len(B.cells[d])] * len(f.target.cells[d])
+        for j, t in enumerate(iB.images[d]):
+            renumber[t] = j
+        row = f.images[d]
+        images.append([renumber[row[s]] for s in iA.images[d]])
+    return _map(A, B, images), iA, iB
 
 
-def _map_to_id(R, f):
-    return tuple(
-        f.components[d][c] for d in R.dims() for c in R.cells[d]
-    )
+def _map_to_id(f):
+    """The cells of f's target that f takes the cells of its source to,
+    as one tuple of indices in the source's stored order."""
+    return tuple(x for row in f.images for x in row)
 
 
 def coskeleton(X, n, out_dim=None):
@@ -69,6 +73,14 @@ def coskeleton(X, n, out_dim=None):
     The unit is produced when out_dim == X.trunc_dim (the only case where it
     is a map between equal truncations); otherwise it is None.
     """
+    C, unit, _ = _coskeleton(X, n, out_dim)
+    return C, unit
+
+
+def _coskeleton(X, n, out_dim):
+    """coskeleton, and k -> {id: index} over the k-cells of C in stored
+    order, the id of a cell the tuple of the indices in X of its values
+    (_map_to_id)."""
     if n > X.trunc_dim:
         raise ValueError("coskeleton level exceeds stored truncation")
     if out_dim is None:
@@ -76,14 +88,21 @@ def coskeleton(X, n, out_dim=None):
     Xt = truncate(X, n)
     ops = X.ops
     reps = {k: representable(X.site, k, n) for k in range(out_dim + 1)}
-    cells = {}
+    # k -> the dimension of each value slot of a k-cell's id
+    slot_dims = {
+        k: [d for d in R.dims() for _ in R.cells[d]] for k, R in reps.items()
+    }
+    ids, cells, where = {}, {}, {}
     for k in range(out_dim + 1):
+        ids[k] = [_map_to_id(f) for f in enumerate_maps(reps[k], Xt)]
+        where[k] = {u: j for j, u in enumerate(ids[k])}
+        labels = [Xt.cells[d] for d in slot_dims[k]]
         cells[k] = tuple(
-            _map_to_id(reps[k], f) for f in enumerate_maps(reps[k], Xt)
+            tuple(map(operator.getitem, labels, u)) for u in ids[k]
         )
     # (key, k) -> the slots of a k-cell that the generator's image reads:
     # slot j of the image is the value at g . c, c the j-th cell of R_a
-    positions = {}
+    action = {}
     for k in range(out_dim + 1):
         R = reps[k]
         start = [0]
@@ -91,27 +110,31 @@ def coskeleton(X, n, out_dim=None):
             start.append(start[-1] + len(R.cells[d]))
         for key, g in ops.generators(k, out_dim):
             Ra = reps[g.source_dim]
-            positions[(key, k)] = [
+            slots = [
                 start[d] + R.cell_index(d, ops.compose(g, c))
                 for d in Ra.dims()
                 for c in Ra.cells[d]
             ]
-    C = _from_images(
-        X.site, out_dim, cells,
-        lambda key, g, u: tuple(u[p] for p in positions[(key, g.target_dim)]),
-    )
+            index = where[g.source_dim]
+            action[(key, k)] = [
+                index[tuple(map(u.__getitem__, slots))] for u in ids[k]
+            ]
+    C = FinitePresheaf(X.site, out_dim, cells, action)
     unit = None
     if out_dim == X.trunc_dim:
-        comps = {}
+        images = []
         for k in range(out_dim + 1):
-            comps[k] = {}
-            for x in X.cells[k]:
-                R = reps[k]
-                comps[k][x] = tuple(
-                    X.act(x, k, c) for d in R.dims() for c in R.cells[d]
-                )
-        unit = PresheafMap(X, C, comps)
-    return C, unit
+            R = reps[k]
+            tables = [
+                X._morphism_table(c) for d in R.dims() for c in R.cells[d]
+            ]
+            index = where[k]
+            images.append([
+                index[tuple(x if t is None else t[x] for t in tables)]
+                for x in range(len(X.cells[k]))
+            ])
+        unit = _map(X, C, images)
+    return C, unit, where
 
 
 def coskeleton_map(f, n, out_dim=None):
@@ -119,18 +142,18 @@ def coskeleton_map(f, n, out_dim=None):
     X, Y = f.source, f.target
     if out_dim is None:
         out_dim = X.trunc_dim
-    CX, _ = coskeleton(X, n, out_dim)
-    CY, _ = coskeleton(Y, n, out_dim)
-    reps = {k: representable(X.site, k, n) for k in range(out_dim + 1)}
-    comps = {}
+    CX, _, ids_x = _coskeleton(X, n, out_dim)
+    CY, _, ids_y = _coskeleton(Y, n, out_dim)
+    images = []
     for k in range(out_dim + 1):
-        R = reps[k]
-        slots = [(d, c) for d in R.dims() for c in R.cells[d]]
-        comps[k] = {
-            u: tuple(f.components[d][v] for (d, _), v in zip(slots, u))
-            for u in CX.cells[k]
-        }
-    return PresheafMap(CX, CY, comps)
+        R = representable(X.site, k, n)
+        rows = [f.images[d] for d in R.dims() for _ in R.cells[d]]
+        index = ids_y[k]
+        # ids_x[k] lists the ids of CX's k-cells in stored order
+        images.append([
+            index[tuple(map(operator.getitem, rows, u))] for u in ids_x[k]
+        ])
+    return _map(CX, CY, images)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,26 @@ def test_check_rlp_rejects_a_map_onto_no_cell(files, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("dimension", "component '7' names no dimension of the source (0..2)"),
+    ("truncation", "differ in site or truncation"),
+])
+def test_check_rlp_names_a_map_of_the_wrong_shape(files, tmp_path, capsys,
+                                                  fault, message):
+    # both used to print only the missing key: "...: 7" and "...: 2"
+    data = json.loads(open(files["terminal.json"]).read())
+    if fault == "dimension":
+        data["components"]["7"] = [0]
+    else:
+        data["target"] = ps.representable("cubical", 0, 1).to_json()
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["check-rlp", "--map", str(path), "--n", "0"])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_triangulate_and_product(files, tmp_path, capsys):
     out_path = str(tmp_path / "tri.json")
     code, out = run(

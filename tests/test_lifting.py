@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -208,3 +209,138 @@ def test_elementary_homotopy_misses_at_the_chain_cap():
     ends = ps.enumerate_maps(pt, ps.disjoint_union(I, pt))
     found = [lf.elementary_homotopy_search(ends[0], g) for g in ends]
     assert found.count({"none_found": True, "exhausted": True}) == 1
+
+
+# ---------------------------------------------------------------------------
+# The label-keyed square solver that the index-based one replaced, kept as
+# the oracle: prescriptions, the commutation check and the fibre filter
+# read components (label dicts) only.  Its enumerator takes labels and a
+# label predicate and hands them to enumerate_maps as indices and masks,
+# whose order against a label scan tests/test_presheaf.py checks.
+
+
+def _label_enumerate(A, X, forced=None, cand_filter=None, limit=None):
+    index_forced = None
+    if forced:
+        index_forced = [{} for _ in A.dims()]
+        for (d, c), v in forced.items():
+            index_forced[d][A.cell_index(d, c)] = X.cell_index(d, v)
+    allowed = None
+    if cand_filter is not None:
+        allowed = [
+            [sum(1 << x for x, y in enumerate(X.cells[d])
+                 if cand_filter(d, c, y))
+             for c in A.cells[d]]
+            for d in A.dims()
+        ]
+    return ps.enumerate_maps(A, X, forced=index_forced, allowed=allowed,
+                             limit=limit)
+
+
+def _label_prescription(i, image):
+    forced = {}
+    for d in i.source.dims():
+        comp = i.components[d]
+        for c in i.source.cells[d]:
+            want = image(d, c)
+            if forced.setdefault((d, comp[c]), want) != want:
+                return None
+    return forced
+
+
+def _label_commutes(i, f, u, v):
+    return all(
+        f.components[d][u.components[d][a]]
+        == v.components[d][i.components[d][a]]
+        for d in i.source.dims() for a in i.source.cells[d]
+    )
+
+
+def _label_solve(i, f, u, v):
+    """The first lift of the square, or None."""
+    assert _label_commutes(i, f, u, v)
+    forced = _label_prescription(i, lambda d, a: u.components[d][a])
+    if forced is None:
+        return None
+    fiber = lambda d, b, x: f.components[d][x] == v.components[d][b]
+    lifts = _label_enumerate(i.target, f.source, forced=forced,
+                             cand_filter=fiber, limit=1)
+    lifts = [h for h in lifts if f.compose(h) == v]
+    return lifts[0] if lifts else None
+
+
+def _label_squares_over(i, f):
+    out = []
+    for u in _label_enumerate(i.source, f.source):
+        forced = _label_prescription(
+            i, lambda d, a: f.components[d][u.components[d][a]])
+        if forced is None:
+            continue
+        for v in _label_enumerate(i.target, f.target, forced=forced):
+            out.append((u, v))
+    return out
+
+
+def _lifting_cases():
+    """(member, map) pairs: every member of I_n' and J_n' for n <= 1 on
+    both sites, and of J_cubical_bounded(2), against terminal maps and
+    seeded random maps at the members' truncation."""
+    sets = [(f"{family}_n_prime_{site}", n)
+            for site in ("cubical", "simplicial")
+            for family in ("I", "J") for n in (0, 1)]
+    sets.append(("J_cubical_bounded", 2))
+    rng = random.Random(17)
+    maps = {}
+    for name, n in sets:
+        gens = lf.generating_set(name, n)
+        D = gens.max_k()
+        if (gens.site, D) not in maps:
+            fs = []
+            for _ in range(2):
+                X = ps.random_presheaf(gens.site, D, rng, max_nondeg=5)
+                Y = ps.random_presheaf(gens.site, D, rng, max_nondeg=4)
+                fs.append(lf.terminal_map(X))
+                fs.extend(ps.enumerate_maps(X, Y, limit=2))
+            maps[(gens.site, D)] = fs
+        for _, i in gens.realize(D):
+            for f in maps[(gens.site, D)]:
+                yield i, f
+
+
+def _disagreements(cases, counts, squares_per_case=8):
+    """Yield each (member, map) pair whose squares, or a square whose
+    verdict or first lift, the index-based squares_over, LiftingProblem
+    and solve give otherwise than the label oracle; counts tallies the
+    compared squares by verdict."""
+    for i, f in cases:
+        squares = lf.squares_over(i, f)
+        expected = _label_squares_over(i, f)
+        if [(u.components, v.components) for u, v in squares] != [
+                (u.components, v.components) for u, v in expected]:
+            yield i, f
+            continue
+        for u, v in squares[:squares_per_case]:
+            got = lf.solve(lf.LiftingProblem(i, f, u, v)).get("lift")
+            want = _label_solve(i, f, u, v)
+            counts["no lift" if want is None else "lift"] += 1
+            if (got is None) != (want is None) or (
+                    got is not None and got.components != want.components):
+                yield i, f, u, v
+
+
+def test_index_lifting_matches_the_label_oracle():
+    counts = Counter()
+    assert list(_disagreements(_lifting_cases(), counts)) == []
+    assert counts["lift"] > 1000 and counts["no lift"] > 300
+
+
+def test_lifting_oracle_catches_a_shifted_fibre_mask(monkeypatch):
+    # negative control: solve with each fibre mask shifted by one bit
+    # must disagree with the oracle somewhere on the same cases
+    def shifted(A, X, allowed=None, **kw):
+        if allowed is not None:
+            allowed = [[m << 1 for m in row] for row in allowed]
+        return ps.enumerate_maps(A, X, allowed=allowed, **kw)
+
+    monkeypatch.setattr(lf, "enumerate_maps", shifted)
+    assert next(_disagreements(_lifting_cases(), Counter()), None)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from cubigraph import presheaf as ps
+from cubigraph import skeleta as sk
 
 
 def test_representable_cube_cell_counts():
@@ -173,7 +174,8 @@ def test_enumerate_maps_respects_forced():
     I = ps.representable("cubical", 1, 2)
     v = I.cells[0][0]
     target = sq.cells[0][0]
-    maps = ps.enumerate_maps(I, sq, forced={(0, v): target})
+    maps = ps.enumerate_maps(
+        I, sq, forced=[{I.cell_index(0, v): sq.cell_index(0, target)}])
     assert maps
     for f in maps:
         assert f.components[0][v] == target
@@ -259,6 +261,28 @@ def test_identity_and_compose():
     ident = ps.identity_map(sq)
     assert ident.compose(ident) == ident
     assert ident.is_levelwise_bijection()
+
+
+def test_map_equality_sees_the_codomain():
+    # the inclusion of the square's boundary and the identity of that
+    # boundary agree cell by cell, but land in different presheaves
+    bd = ps.build_standard("boundary_cube", 2)
+    ident = ps.identity_map(bd.realized)
+    assert bd.inclusion != ident
+    assert hash(bd.inclusion) != hash(ident)
+    assert len({bd.inclusion, ident}) == 2
+    # maps built apart, between equal presheaves, are equal with one hash
+    again = ps.build_standard("boundary_cube", 2)
+    assert again.realized is not bd.realized
+    assert again.inclusion == bd.inclusion
+    assert hash(again.inclusion) == hash(bd.inclusion)
+    # and the source counts too: the same images out of a relabeled point
+    point = ps.build_standard("cube", 0, trunc_dim=2).realized
+    empty = ps.build_standard("boundary_cube", 0, trunc_dim=2).realized
+    f = ps.identity_map(point)
+    g = ps.enumerate_maps(ps.disjoint_union(point, empty), point)[0]
+    assert f.images == g.images and f.target is g.target
+    assert f != g
 
 
 def test_standard_cells_share_the_cached_representable():
@@ -398,6 +422,24 @@ def _presheaf_zoo():
     return zoo
 
 
+def _allowed(A, X, keep):
+    """The allowed masks of the label predicate keep(dim, cell, candidate)."""
+    return [
+        [sum(1 << x for x, y in enumerate(X.cells[d]) if keep(d, c, y))
+         for c in A.cells[d]]
+        for d in A.dims()
+    ]
+
+
+def _index_form(A, X, forced):
+    """A label prescription as enumerate_maps takes it; a value that is no
+    cell of X becomes -1."""
+    out = [{} for _ in A.dims()]
+    for (d, c), v in forced.items():
+        out[d][A.cell_index(d, c)] = X._index[d].get(v, -1)
+    return out
+
+
 def _same(fast, slow):
     assert [f.components for f in fast] == [g.components for g in slow]
 
@@ -422,12 +464,37 @@ def test_enumerate_maps_matches_the_scan_in_order():
                     return (X.cell_index(d, x) + d) % 2 == 0
 
                 for kw in ({"limit": 40}, {"limit": 3},
-                           {"injective_nondeg": True, "limit": 40},
-                           {"cand_filter": every_other, "limit": 40}):
+                           {"injective_nondeg": True, "limit": 40}):
                     _same(ps.enumerate_maps(A, X, **kw),
                           _scan_enumerate_maps(A, X, **kw))
+                _same(ps.enumerate_maps(A, X, limit=40,
+                                        allowed=_allowed(A, X, every_other)),
+                      _scan_enumerate_maps(A, X, limit=40,
+                                           cand_filter=every_other))
                 checked += 1
     assert checked > 60
+    # coskeleton-shaped pairs: the standard k-cell truncated at n into the
+    # n-truncation of X, k <= n + 2, which coskeleton enumerates; their
+    # many cells with exactly one candidate exercise the forward check.
+    # n is 1 on the cubical site: the 4-cube's 16 vertices are beyond the
+    # scan.  Whole map sets are compared where the scan is cheap
+    whole = 0
+    for group in _presheaf_zoo():
+        for X in group:
+            for n in (1, 2) if X.site == "simplicial" else (1,):
+                if n > X.trunc_dim:
+                    continue
+                Xt = sk.truncate(X, n)
+                for k in range(n + 3):
+                    R = ps.representable(X.site, k, n)
+                    _same(ps.enumerate_maps(R, Xt, limit=3),
+                          _scan_enumerate_maps(R, Xt, limit=3))
+                    if (len(ps.enumerate_maps(R, Xt, limit=400)) < 400
+                            and len(Xt.cells[0]) ** len(R.cells[0]) <= 4096):
+                        _same(ps.enumerate_maps(R, Xt),
+                              _scan_enumerate_maps(R, Xt))
+                        whole += 1
+    assert whole > 150
 
 
 def test_enumerate_maps_matches_the_scan_under_forced():
@@ -454,9 +521,9 @@ def test_enumerate_maps_matches_the_scan_under_forced():
                 ]
                 for forced in prescriptions:
                     for injective in (False, True):
-                        kw = {"forced": forced, "injective_nondeg": injective,
-                              "limit": 40}
-                        _same(ps.enumerate_maps(A, X, **kw),
-                              _scan_enumerate_maps(A, X, **kw))
+                        kw = {"injective_nondeg": injective, "limit": 40}
+                        _same(ps.enumerate_maps(
+                                  A, X, forced=_index_form(A, X, forced), **kw),
+                              _scan_enumerate_maps(A, X, forced=forced, **kw))
                         cases += 1
     assert cases > 500
