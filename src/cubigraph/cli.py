@@ -241,6 +241,10 @@ def cmd_geometric_product(args, cfg):
 
     X = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.x)
     Y = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.y)
+    if X.site != "cubical" or Y.site != "cubical":
+        print("error: geometric product requires cubical presheaves",
+              file=sys.stderr)
+        return EXIT_INPUT
     _emit_presheaf(pr.geometric_product(X, Y, args.trunc_dim), args)
     return EXIT_OK
 
@@ -265,6 +269,9 @@ def cmd_a1(args, cfg):
     from . import pi1 as p1
 
     X = _load_as(gr.Graph.from_json, "graph", args.graph)
+    if args.base is None and not X.vertices:
+        print(f"error: graph {args.graph} has no vertices", file=sys.stderr)
+        return EXIT_INPUT
     base = _vertex(args.base) if args.base is not None else X.vertices[0]
     try:
         pres = p1.a1_presentation(X, base)

@@ -7,6 +7,7 @@ search for elementary homotopies through the cylinder.
 from __future__ import annotations
 
 from .presheaf import (
+    _SITE_KINDS,
     _map,
     _open_cell_indices,
     _prescription,
@@ -20,8 +21,8 @@ from .product import cylinder
 
 def empty_presheaf(site_name, trunc_dim):
     """The empty presheaf: the boundary of the standard 0-cell."""
-    kind, _ = _MEMBER_KINDS[site_name]["boundary_into_cell"]
-    return build_standard(kind, 0, trunc_dim=trunc_dim).realized
+    boundary = _SITE_KINDS[site_name][1]
+    return build_standard(boundary, 0, trunc_dim=trunc_dim).realized
 
 
 def terminal_map(X):
@@ -134,33 +135,18 @@ class GeneratingSet:
         return " ".join(bits)
 
 
-# per site: member shape -> (kind of the standard cell it includes, kind of
-# the cell it includes into; None for the whole standard cell)
-_MEMBER_KINDS = {
-    "cubical": {
-        "boundary_into_cell": ("boundary_cube", None),
-        "box_into_cell": ("open_box", None),
-        "box_into_boundary": ("open_box", "boundary_cube"),
-    },
-    "simplicial": {
-        "boundary_into_cell": ("boundary_simplex", None),
-        "horn_into_cell": ("horn", None),
-        "horn_into_boundary": ("horn", "boundary_simplex"),
-    },
-}
-
-
 def _realize_member(site_name, spec, D):
-    kinds = _MEMBER_KINDS[site_name].get(spec["shape"])
-    if kinds is None:
-        raise ValueError(f"unknown member shape {spec['shape']!r}")
-    kind, into = kinds
+    """The inclusion of a member part_into_whole: the part is the boundary
+    or the open box/horn, the whole is the cell or the boundary."""
+    _, boundary, opened = _SITE_KINDS[site_name]
+    part, whole = spec["shape"].split("_into_")
     k = spec["k"]
-    cell = build_standard(kind, k, spec.get("i"), spec.get("eps"), trunc_dim=D)
-    if into is None:
-        return cell.inclusion
+    sub = build_standard(boundary if part == "boundary" else opened, k,
+                         spec.get("i"), spec.get("eps"), trunc_dim=D)
+    if whole == "cell":
+        return sub.inclusion
     return inclusion_of_subset(
-        cell.realized, build_standard(into, k, trunc_dim=D).realized
+        sub.realized, build_standard(boundary, k, trunc_dim=D).realized
     )
 
 

@@ -5,13 +5,15 @@ A k-cube of the nerve is a graph map out of the k-fold box power of the
 bi-infinite interval that is eventually constant in every direction.  Such a
 map is stored as a `StableCube`: its values on the grid [-M, M]^k for the
 least M at which clamping reproduces the whole map (the trimmed normal
-form); evaluation outside the grid clamps coordinates.  Operators follow
-the grid formulas: faces freeze a coordinate at (2*eps-1)*M, degeneracies
-drop a coordinate, connections merge two coordinates by max (eps = 0) or
-min (eps = 1).  Every point of the result grid lands on a point of the
-source grid at the same support, so each operator is one index gather on a
-table compiled once per (generator, k, M); results are re-trimmed by a
-per-(k, M) table of each boundary point's clamp one step in.
+form); evaluation outside the grid clamps coordinates.  Operators are the
+site's generators evaluated on grid points, constants 0 and 1 placed at -M
+and M, which gives the grid formulas: faces freeze a coordinate at
+(2*eps-1)*M, degeneracies drop a coordinate, connections merge two
+coordinates by max (eps = 0) or min (eps = 1).  Every point of the result
+grid lands on a point of the source grid at the same support, so each
+operator is one index gather on a table compiled once per (generator, k,
+M); results are re-trimmed by a per-(k, M) table of each boundary point's
+clamp one step in.
 
 The cubes of a fragment and the open-box lifting problems of the bounded
 fibration check, with their fillers, are labelings solved by `grid`.  The
@@ -26,6 +28,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import site as st
 from .grid import (BudgetExceeded, _boundary_points, _box_region, _clamp,
                    _clamp_map, _cycle_filler, _cycle_order, _grid, _index,
                    _labelings, _restart_labelings, _shape, _take)
@@ -129,32 +132,20 @@ def is_cube_of(c, graph):
     )
 
 
-def _source_point(key, t, M):
-    """The point of the source grid whose value generator key puts at the
-    point t of the result grid, both at support M.
-
-    Faces freeze coordinate i at (2*eps-1)*M, degeneracies drop coordinate
-    i, and connections merge coordinates i, i+1 by max (eps = 0) or min
-    (eps = 1); none leaves [-M, M], so no point needs clamping.
-    """
-    kind, i = key[0], key[1]
-    if kind == "face":
-        return t[: i - 1] + ((2 * key[2] - 1) * M,) + t[i - 1:]
-    if kind == "deg":
-        return t[: i - 1] + t[i:]
-    if kind == "conn":
-        op = max if key[2] == 0 else min
-        return t[: i - 1] + (op(t[i - 1], t[i]),) + t[i + 1:]
-    raise ValueError(f"unknown generator {key!r}")
-
-
 @lru_cache(maxsize=512)
 def _generator_gather(key, k, M):
     """The result dimension of generator key on a k-cube of support M, and
-    the gather taking the cube's values to the result's on [-M, M]^dim."""
-    dim = k - 1 if key[0] == "face" else k + 1
-    return dim, _take([_index(_source_point(key, t, M), M)
-                       for t in _grid(M, dim)])
+    the gather taking the cube's values to the result's on [-M, M]^dim: at
+    t, the value at the site generator's terms evaluated at t, a constant
+    (canonical terms hold them only at the top) placed at -M or M."""
+    g = dict(st.cube_generators(k, k + 1))[key]
+
+    def source(t):
+        return tuple((2 * c[1] - 1) * M if c[0] == "c" else st.term_eval(c, t)
+                     for c in g.coords)
+
+    return g.source_dim, _take([_index(source(t), M)
+                                for t in _grid(M, g.source_dim)])
 
 
 def _apply_generator(c, key):

@@ -651,6 +651,8 @@ def psi_comparison(f, g, samples=10, seed=0, max_len=4,
     """
     X, Y = f.source, g.source
     P, p1, p2 = pullback(f, g)
+    if not P.vertices:
+        samples = 0  # no object to sample paths from
     rng = random.Random(seed)
     report = {
         "objects": len(P.vertices),

@@ -68,9 +68,6 @@ class FinitePresheaf:
     def cell_index(self, dim, cell):
         return self._index[dim][cell]
 
-    def has_cell(self, dim, cell):
-        return dim <= self.trunc_dim and cell in self._index[dim]
-
     def act_gen(self, key, from_dim, cell):
         image = self.action[(key, from_dim)][self._index[from_dim][cell]]
         return self.cells[from_dim - 1 if key[0] == "face" else from_dim + 1][image]
@@ -671,11 +668,8 @@ def random_presheaf(site_name, trunc_dim, rng, max_nondeg=40):
             f"max_nondeg must be at least {floor} at trunc_dim {trunc_dim}, "
             f"not {max_nondeg}: no draw has fewer nondegenerate cells"
         )
-    kinds = (
-        [("cube", 1), ("cube", 2), ("boundary_cube", 2), ("open_box", 2)]
-        if site_name == "cubical"
-        else [("simplex", 1), ("simplex", 2), ("boundary_simplex", 2), ("horn", 2)]
-    )
+    cell, boundary, opened = _SITE_KINDS[site_name]
+    kinds = [(cell, 1), (cell, 2), (boundary, 2), (opened, 2)]
     while True:
         pieces = []
         for _ in range(rng.randint(1, 3)):

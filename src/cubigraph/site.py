@@ -11,13 +11,16 @@ Each term is one of:
 
 Canonical form: supports of the coordinate terms are pairwise disjoint and
 ordered (all variables of an earlier coordinate precede all variables of a
-later one), max/min nodes have at least two children, children alternate
-operations, and children supports are ordered intervals of the node's
-support.  The flat one-level max/min descriptors are not closed under
+later one), and each term is one that a single recursion over block cuts
+gives on its variables (`_terms_on`): a variable, or max/min over a cut of
+them into two or more consecutive blocks, each a term of the other
+operation.  The flat one-level max/min descriptors are not closed under
 composition once both connection kinds are present (a max-connection after
 a min-connection already produces max(x1, min(x2, x3))), so terms nest.
 Two canonical morphisms are equal iff they are equal as monotone functions
-{0,1}^m -> {0,1}^n; this is checked exhaustively in the test suite.
+{0,1}^m -> {0,1}^n; this is checked exhaustively in the test suite.  The
+generators (`cube_generators`) are the only faces, degeneracies and
+connections; the nerve evaluates them on grid points.
 """
 
 from __future__ import annotations
@@ -206,14 +209,8 @@ def cube_connection(i: int, eps: int, n: int) -> CubeMorphism:
     if not (1 <= i <= n - 1):
         raise ValueError(f"connection index {i} out of range for dim {n}")
     op = "max" if eps == 0 else "min"
-    coords = []
-    for j in range(1, n + 1):
-        if j == i:
-            coords.append((op, (("v", i), ("v", i + 1))))
-        elif j == i + 1:
-            continue
-        else:
-            coords.append(("v", j))
+    coords = [("v", j) for j in range(1, n + 1)]
+    coords[i - 1: i + 1] = [(op, (("v", i), ("v", i + 1)))]
     return CubeMorphism(n, tuple(coords))
 
 
@@ -347,66 +344,28 @@ def cube_generators(k: int, trunc_dim: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _term_shapes(n: int):
-    """All canonical term shapes on n ordered leaves.
-
-    A shape is 'leaf' or (op, (child shapes with sizes)); returned as a list
-    of (shape, sizes) trees encoded as nested tuples: 'leaf' or
-    (op, ((shape1, n1), ...)).
-    """
-    if n == 1:
-        return ["leaf"]
-    out = []
-    for op in ("max", "min"):
-        for parts in _compositions(n):
-            if len(parts) < 2:
-                continue
-            child_lists = []
-            ok = True
-            for p in parts:
-                opts = [
-                    s
-                    for s in _term_shapes(p)
-                    if s == "leaf" or s[0] != op
-                ]
-                if not opts:
-                    ok = False
-                    break
-                child_lists.append([(s, p) for s in opts])
-            if not ok:
-                continue
-            for combo in itertools.product(*child_lists):
-                out.append((op, combo))
-    return out
+def _blocks(seq, r):
+    """The cuts of seq into exactly r >= 1 nonempty consecutive blocks."""
+    for cuts in itertools.combinations(range(1, len(seq)), r - 1):
+        bounds = (0,) + cuts + (len(seq),)
+        yield [seq[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @lru_cache(maxsize=None)
-def _compositions(n: int):
-    """All ordered compositions of n into positive parts."""
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            out.append((first,) + rest)
-    return out
-
-
-def _shape_to_term(shape, leaves):
-    if shape == "leaf":
-        return ("v", leaves[0])
-    op, kids = shape
-    terms = []
-    pos = 0
-    for s, size in kids:
-        terms.append(_shape_to_term(s, leaves[pos: pos + size]))
-        pos += size
-    return (op, tuple(terms))
-
-
-def _terms_on(leaves: tuple):
-    return [_shape_to_term(s, leaves) for s in _term_shapes(len(leaves))]
+def _terms_on(leaves: tuple, avoid=None):
+    """The canonical terms whose variables are exactly leaves: the leaf
+    itself, or max/min (never avoid, the parent's operation) over a cut
+    of the leaves into two or more blocks, each block a term whose
+    operation differs from this one."""
+    if len(leaves) == 1:
+        return (("v", leaves[0]),)
+    return tuple(
+        (op, kids)
+        for op in ("max", "min") if op != avoid
+        for r in range(2, len(leaves) + 1)
+        for blocks in _blocks(leaves, r)
+        for kids in itertools.product(*(_terms_on(b, op) for b in blocks))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -419,9 +378,7 @@ def all_cube_epis(m: int, r: int):
     out = []
     for size in range(r, m + 1):
         for used in itertools.combinations(range(1, m + 1), size):
-            for cuts in itertools.combinations(range(1, size), r - 1):
-                bounds = (0,) + cuts + (size,)
-                blocks = [used[a:b] for a, b in zip(bounds, bounds[1:])]
+            for blocks in _blocks(used, r):
                 for terms in itertools.product(*map(_terms_on, blocks)):
                     out.append(CubeMorphism(m, terms))
     out.sort(key=repr)

@@ -399,6 +399,42 @@ def test_level_above_truncation_is_input_error(files, capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["geometric-product", "--x", "simplex.json", "--y", "simplex.json"],
+     "error: geometric product requires cubical presheaves"),
+    (["a1", "--graph", "empty.json"], "has no vertices"),
+])
+def test_input_the_library_rejects_is_input_error(tmp_path, capsys, argv,
+                                                  message):
+    # both used to exit 1 with a traceback: a ValueError from the product
+    # and an IndexError at the default base vertex
+    (tmp_path / "simplex.json").write_text(
+        json.dumps(ps.representable("simplicial", 1, 1).to_json()))
+    (tmp_path / "empty.json").write_text(json.dumps(gr.Graph([], []).to_json()))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
+
+
+def test_psi_check_out_of_the_empty_graph_draws_no_samples(tmp_path, capsys):
+    # the pullback has no vertices to sample paths from
+    path = tmp_path / "empty-to-i1.json"
+    path.write_text(json.dumps(
+        gr.GraphMap(gr.Graph([], []), gr.interval(1), {}).to_json()))
+    code, out = run(["psi-check", "--f", str(path), "--g", str(path),
+                     "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["pi0"] == {"verdict": "bijection", "upstairs": 0,
+                             "downstairs": 0}
+    assert report["fullness"] == report["faithfulness"] == []
+    assert report["passed"] is True
+
+
 def test_explicit_zero_max_steps_is_honoured(files, capsys):
     code, out = run(
         ["paths-homotopic", "--graph", files["c5.json"], "--p1", "0,1,2",

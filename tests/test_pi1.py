@@ -286,6 +286,20 @@ def test_psi_comparison_small_instance():
         assert entry["verdict"] in ("pass", "inconclusive", "skipped")
 
 
+def test_psi_comparison_with_an_empty_pullback_draws_no_samples():
+    # maps out of the empty graph, and maps whose images miss each other
+    I1 = gr.interval(1)
+    empty = gr.GraphMap(gr.Graph([], []), I1, {})
+    ends = (gr.GraphMap(gr.interval(0), I1, {0: 0}),
+            gr.GraphMap(gr.interval(0), I1, {0: 1}))
+    for f, g in ((empty, empty), ends):
+        report = pi1.psi_comparison(f, g, samples=5)
+        assert report == pi1.psi_comparison(f, g, samples=0)
+        assert report["pi0"] == {"verdict": "bijection", "upstairs": 0,
+                                 "downstairs": 0}
+        assert report["passed"] is True
+
+
 def test_psi_comparison_draws_tau_to_end_over_eta():
     # tau is redrawn until its image ends where eta's does, so every
     # fullness sample of id I1 is a morphism pair and gets checked

@@ -94,7 +94,7 @@ def formula_hom_count(m, n):
 
     term_counts = [0] * (m + 1)
     for size in range(1, m + 1):
-        term_counts[size] = len(st._term_shapes(size))
+        term_counts[size] = len(st._terms_on(tuple(range(1, size + 1))))
 
     def block_products(u, k):
         # sum over compositions u = a_1 + ... + a_k (a_i >= 1) of
@@ -134,8 +134,24 @@ def test_pinned_hom_counts():
 
 
 def test_connection_term_shape_counts():
-    # numbers of canonical one-output terms using exactly k variables
-    assert [len(st._term_shapes(k)) for k in range(1, 6)] == [1, 2, 6, 22, 90]
+    # numbers of canonical one-output terms using exactly k variables: the
+    # large Schroeder numbers
+    counts = [len(st._terms_on(tuple(range(1, k + 1)))) for k in range(1, 7)]
+    assert counts == [1, 2, 6, 22, 90, 394]
+
+
+def test_terms_on_are_canonical_use_every_variable_and_differ():
+    # checked without enumerating terms a second way: every term is in
+    # canonical form and uses every variable, and no two agree as
+    # functions on {0,1}^k
+    for k in range(1, 7):
+        terms = st._terms_on(tuple(range(1, k + 1)))
+        graphs = set()
+        for t in terms:
+            assert st.CubeMorphism(k, (t,)).is_canonical()
+            assert st.term_support(t) == frozenset(range(1, k + 1))
+            graphs.add(tuple(st.term_eval(t, p) for p in points(k)))
+        assert len(graphs) == len(terms)
 
 
 def test_simplex_hom_counts():
@@ -305,6 +321,14 @@ def test_generator_tables_list_faces_then_degeneracies_then_connections():
     assert st.SIMPLICIAL.generators(0, 0) == ()
 
 
+def _compositions(n):
+    """All ordered compositions of n into positive parts."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, n + 1)
+            for rest in _compositions(n - first)]
+
+
 def _loop_nest_cube_morphisms(m, n):
     """The hom-set as the full loop nest builds it: every used subset of
     the variables, every ordered blocking of it into at most n blocks,
@@ -313,7 +337,7 @@ def _loop_nest_cube_morphisms(m, n):
     out = []
     for size in range(m + 1):
         for used in itertools.combinations(range(1, m + 1), size):
-            for parts in st._compositions(size):
+            for parts in _compositions(size):
                 r = len(parts)
                 if r > n:
                     continue
