@@ -40,7 +40,8 @@ class FinitePresheaf:
     decompositions (_root_table), the action of any site morphism
     (_morphism_table), the face-preimage bitmasks (_face_preimages) and
     the target-free part of a map search out of this presheaf
-    (_search_plan).
+    (_search_plan).  _coskeleta holds, per (n, out_dim), the coskeleton
+    that skeleta._coskeleton built from this presheaf.
     """
 
     def __init__(self, site_name, trunc_dim, cells, action):
@@ -56,6 +57,7 @@ class FinitePresheaf:
         self._roots = self._nondeg = self._nondeg_mask = self._preimages = None
         self._plan = None
         self._morphisms = {}
+        self._coskeleta = {}
 
     # -- basic access -------------------------------------------------------
 

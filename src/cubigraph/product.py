@@ -6,6 +6,8 @@ p-cell of X, y a nondegenerate q-cell of Y, and e a degeneracy/connection
 composite [1]^n -> [1]^(p+q).  An arbitrary morphism acts by composing into
 e, splitting off the face part (which distributes over the two factors
 because faces only insert constants), acting on each factor, and re-rooting.
+The splits depend on the cube category alone, so each table of them is
+built once per process; a product call keys its gluing by ints.
 
 Triangulation is the colimit of k-simplex chains over the category of
 elements: every n-cell contributes the simplices of (interval)^n, glued by
@@ -15,6 +17,7 @@ the generator actions via a union-find pass.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from . import site as st
 from .presheaf import FinitePresheaf, _from_images, _map, _UnionFind
@@ -43,74 +46,105 @@ def _split_face(f, p):
     ), epi
 
 
-def _nondeg_roots(X):
+@lru_cache(maxsize=None)
+def _epi_index(m, r):
+    """epi -> its index in all_cube_epis(m, r)."""
+    return {e: i for i, e in enumerate(st.all_cube_epis(m, r))}
+
+
+@lru_cache(maxsize=None)
+def _face_splits(key, n, p, q):
+    """Per epi e of all_cube_epis(n, p + q), in order, the split (m1, m2, j)
+    of e . g, g the generator key acting on n-cells: e . g = (m1 (x) m2) .
+    epi, with epi the j-th of all_cube_epis(g.source_dim, r1 + r2).  A fact
+    of the cube category alone, so it is built once per process; equal face
+    parts are stored as one object."""
+    g = dict(st.cube_generators(n, n + 1))[key]
+    faces = {}
+    out = []
+    for e in st.all_cube_epis(n, p + q):
+        m1, m2, epi = _split_face(cube_compose(e, g), p)
+        out.append((faces.setdefault(m1, m1), faces.setdefault(m2, m2),
+                    _epi_index(g.source_dim, epi.target_dim)[epi]))
+    return tuple(out)
+
+
+def _nondeg_roots(X, ids):
     """(d -> indices of the nondegenerate d-cells, d -> per d-cell its
-    root as (position among the nondegenerate cells of its dim, epi))."""
+    root as (position among the nondegenerate cells of its dim, id of its
+    epi)); ids numbers the distinct epis, shared between the factors."""
     roots = X._root_table()
     nd = {d: [i for i, r in enumerate(roots[d]) if r[1] == d] for d in X.dims()}
     pos = {d: {i: j for j, i in enumerate(nd[d])} for d in X.dims()}
     return nd, {
-        d: [(pos[rd][r], e) for r, rd, e in roots[d]] for d in X.dims()
+        d: [(pos[rd][r], ids.setdefault(e, len(ids))) for r, rd, e in roots[d]]
+        for d in X.dims()
     }
 
 
 def geometric_product(X, Y, trunc_dim=None):
     """The n-cells are the triples ((p, x), (q, y), e) in block order
     (p, q), then x, y and e; a cell's index is computed from its block,
-    the positions of x and y and the index of e.  The face split of
-    e . g is derived once per (e, generator g), and the glued epi once
-    per (root epis, epi part)."""
+    the positions of x and y and the index of e.  The face splits of e . g
+    are derived once per process per (generator g, n, p, q)
+    (_face_splits); blocks without a nondegenerate x or y are skipped.
+    The glued epi is derived once per call per (root epi ids, epi part)."""
     if X.site != "cubical" or Y.site != "cubical":
         raise ValueError("geometric product requires cubical presheaves")
     if trunc_dim is None:
         trunc_dim = min(X.trunc_dim + Y.trunc_dim, max(X.trunc_dim, Y.trunc_dim) + 2)
-    ndx, rootx = _nondeg_roots(X)
-    ndy, rooty = _nondeg_roots(Y)
-    # n -> its blocks (p, q, epis); the index of a block's first cell; and
-    # per (n, r) the index of each epi [1]^n -> [1]^r
-    blocks, first, epi_at, cells = {}, {}, {}, {}
+    ids = {}
+    ndx, rootx = _nondeg_roots(X, ids)
+    ndy, rooty = _nondeg_roots(Y, ids)
+    root_epis = list(ids)
+    # n -> its nonempty blocks (p, q); the index of a block's first cell
+    blocks, first, cells = {}, {}, {}
     for n in range(trunc_dim + 1):
         blocks[n], out = [], []
         for p in range(min(n, X.trunc_dim) + 1):
             for q in range(min(n - p, Y.trunc_dim) + 1):
                 epis = st.all_cube_epis(n, p + q)
-                blocks[n].append((p, q, epis))
                 first[(n, p, q)] = len(out)
-                epi_at[(n, p + q)] = {e: i for i, e in enumerate(epis)}
+                if ndx[p] and ndy[q]:
+                    blocks[n].append((p, q))
                 for x in ndx[p]:
                     for y in ndy[q]:
                         for e in epis:
                             out.append(((p, X.cells[p][x]), (q, Y.cells[q][y]), e))
         cells[n] = tuple(out)
 
-    # (e1, e2, epi) -> (base, x stride, y stride): the re-rooted cell of
-    # the nondegenerate x and y at positions i and j is base + i*xs + j*ys
+    # (root epi ids, a, j) -> (base, x stride, y stride): the re-rooted
+    # cell of the nondegenerate x and y at positions i and j is
+    # base + i*xs + j*ys
     glued = {}
 
-    def glue(e1, e2, epi):
+    def glue(id1, id2, a, j):
+        e1, e2 = root_epis[id1], root_epis[id2]
+        p, q = e1.target_dim, e2.target_dim
+        epi = st.all_cube_epis(a, e1.source_dim + e2.source_dim)[j]
+        at = _epi_index(a, p + q)
         e = cube_compose(cube_tensor(e1, e2), epi)
-        n, p, q = e.source_dim, e1.target_dim, e2.target_dim
-        at = epi_at[(n, p + q)]
-        return first[(n, p, q)] + at[e], len(ndy[q]) * len(at), len(at)
+        return first[(a, p, q)] + at[e], len(ndy[q]) * len(at), len(at)
 
     action = {}
     for n in range(trunc_dim + 1):
         for key, g in st.CUBICAL.generators(n, trunc_dim):
+            a = g.source_dim
             row = []
-            for p, q, epis in blocks[n]:
-                split = []
-                for e in epis:
-                    m1, m2, epi = _split_face(cube_compose(e, g), p)
-                    split.append((m1.source_dim, X._morphism_table(m1),
-                                  m2.source_dim, Y._morphism_table(m2), epi))
+            for p, q in blocks[n]:
+                split = [
+                    (m1.source_dim, X._morphism_table(m1),
+                     m2.source_dim, Y._morphism_table(m2), j)
+                    for m1, m2, j in _face_splits(key, n, p, q)
+                ]
                 for x in ndx[p]:
                     for y in ndy[q]:
-                        for r1, t1, r2, t2, epi in split:
-                            xpos, e1 = rootx[r1][x if t1 is None else t1[x]]
-                            ypos, e2 = rooty[r2][y if t2 is None else t2[y]]
-                            hit = glued.get((e1, e2, epi))
+                        for r1, t1, r2, t2, j in split:
+                            xpos, id1 = rootx[r1][x if t1 is None else t1[x]]
+                            ypos, id2 = rooty[r2][y if t2 is None else t2[y]]
+                            hit = glued.get((id1, id2, a, j))
                             if hit is None:
-                                hit = glued[(e1, e2, epi)] = glue(e1, e2, epi)
+                                hit = glued[(id1, id2, a, j)] = glue(id1, id2, a, j)
                             base, xs, ys = hit
                             row.append(base + xpos * xs + ypos * ys)
             action[(key, n)] = row

@@ -80,11 +80,14 @@ def coskeleton(X, n, out_dim=None):
 def _coskeleton(X, n, out_dim):
     """coskeleton, and k -> {id: index} over the k-cells of C in stored
     order, the id of a cell the tuple of the indices in X of its values
-    (_map_to_id)."""
+    (_map_to_id).  Built once per (X, n, out_dim) and kept on X."""
     if n > X.trunc_dim:
         raise ValueError("coskeleton level exceeds stored truncation")
     if out_dim is None:
         out_dim = X.trunc_dim
+    built = X._coskeleta.get((n, out_dim))
+    if built is not None:
+        return built
     Xt = truncate(X, n)
     ops = X.ops
     reps = {k: representable(X.site, k, n) for k in range(out_dim + 1)}
@@ -134,7 +137,8 @@ def _coskeleton(X, n, out_dim):
                 for x in range(len(X.cells[k]))
             ])
         unit = _map(X, C, images)
-    return C, unit, where
+    built = X._coskeleta[(n, out_dim)] = C, unit, where
+    return built
 
 
 def coskeleton_map(f, n, out_dim=None):

@@ -1,5 +1,7 @@
 """Geometric product, cylinders, and triangulation."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -197,3 +199,51 @@ def test_geometric_product_agrees_with_label_oracle():
             td = min(X.trunc_dim + Y.trunc_dim, 3)
             _same(pr.geometric_product(X, Y, td),
                   _oracle_product(X, Y, td))
+
+
+def test_face_splits_match_the_uncached_split():
+    """The per-process split tables against _split_face of e . g computed
+    afresh, with the epi part read back through its index j, for every
+    generator acting on n-cells, n <= 5, and every block p + q <= n."""
+    for n in range(6):
+        for key, g in st.cube_generators(n, n + 1):
+            for p in range(n + 1):
+                for q in range(n - p + 1):
+                    epis = st.all_cube_epis(n, p + q)
+                    splits = pr._face_splits(key, n, p, q)
+                    assert len(splits) == len(epis)
+                    for e, (m1, m2, j) in zip(epis, splits):
+                        eg = st.cube_compose(e, g)
+                        epi = st.all_cube_epis(
+                            g.source_dim, m1.source_dim + m2.source_dim)[j]
+                        assert (m1, m2, epi) == pr._split_face(eg, p)
+                        assert st.cube_compose(
+                            st.cube_tensor(m1, m2), epi) == eg
+
+
+def test_geometric_product_is_the_same_after_other_products():
+    """A product made after products of other presheaves of the same
+    truncations, which read the same split tables, equals the first."""
+    square = ps.build_standard("cube", 2, trunc_dim=3).realized
+    edge = ps.build_standard("cube", 1, trunc_dim=3).realized
+    first = pr.geometric_product(square, edge, 4)
+    rng = random.Random(3)
+    for X, Y in [
+        (ps.build_standard("boundary_cube", 2, trunc_dim=3).realized,
+         ps.build_standard("open_box", 2, 1, 0, trunc_dim=3).realized),
+        (ps.random_presheaf("cubical", 3, rng, max_nondeg=8), edge),
+    ]:
+        pr.geometric_product(X, Y, 4)
+    _same(pr.geometric_product(square, edge, 4), first)
+
+
+def test_geometric_product_square_times_edge_is_pinned():
+    """square x edge at the default truncation 5, beyond the label
+    oracle's reach, keeps the bytes of its JSON document."""
+    square = ps.build_standard("cube", 2, trunc_dim=3).realized
+    edge = ps.build_standard("cube", 1, trunc_dim=3).realized
+    P = pr.geometric_product(square, edge)
+    assert P.trunc_dim == 5
+    digest = hashlib.sha256(
+        json.dumps(P.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest.startswith("ae9411909ae5")

@@ -200,3 +200,36 @@ def test_cosk_of_sk_equals_cosk(  ):
         B, _ = sk.coskeleton(X, 1)
         ok, _ = ps.is_isomorphic(A, B)
         assert ok
+
+
+def test_coskeleton_map_builds_each_coskeleton_once(monkeypatch):
+    """Each coskeleton is kept on its presheaf per (n, out_dim): a second
+    map out of the same source builds only its new target's coskeleton,
+    and equals the map built from fresh copies of both presheaves."""
+    def fresh(X):
+        return ps.FinitePresheaf(X.site, X.trunc_dim, X.cells, X.action)
+
+    I, sq, cube = (fresh(ps.representable("cubical", k, 2)) for k in (1, 2, 3))
+    f = ps.enumerate_maps(I, sq, limit=1)[0]
+    g = ps.enumerate_maps(I, cube, limit=1)[0]
+    built = []
+
+    def counting(A, X, *args, **kwargs):
+        built.append(X)
+        return ps.enumerate_maps(A, X, *args, **kwargs)
+
+    monkeypatch.setattr(sk, "enumerate_maps", counting)
+    sk.coskeleton_map(f, 1)
+    assert len(built) == 6  # cosk_1 of I and of the square, 3 dims each
+    del built[:]
+    Cg = sk.coskeleton_map(g, 1)
+    assert len(built) == 3  # cosk_1 of the 3-cube only
+    expect = sk.coskeleton_map(ps._map(fresh(I), fresh(cube), g.images), 1)
+    assert Cg.images == expect.images
+    assert Cg.source.cells == expect.source.cells
+    assert Cg.target.cells == expect.target.cells
+    # a coskeleton at another truncation is built, not read back
+    del built[:]
+    C, unit = sk.coskeleton(I, 1, 3)
+    assert len(built) == 4 and C.trunc_dim == 3 and unit is None
+    assert C.cells == sk.coskeleton(fresh(I), 1, 3)[0].cells
