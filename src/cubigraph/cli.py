@@ -382,11 +382,7 @@ def cmd_psi_check(args, cfg):
             lines.append(f"{label}: {sample['verdict']}")
     lines.append("passed" if report["passed"] else "FAILED")
     _emit({"lines": lines, **report}, args.json)
-    if not report["passed"]:
-        return EXIT_NEGATIVE
-    if report["pi0"]["verdict"] == "inconclusive":
-        return EXIT_BUDGET
-    return EXIT_OK
+    return EXIT_OK if report["passed"] else EXIT_NEGATIVE
 
 
 def cmd_nerve_stats(args, cfg):

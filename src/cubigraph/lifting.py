@@ -13,7 +13,6 @@ from .presheaf import (
     _prescription,
     build_standard,
     enumerate_maps,
-    identity_map,
     representable,
 )
 from .product import cylinder

@@ -20,8 +20,10 @@ import itertools
 from functools import lru_cache
 
 from . import site as st
-from .presheaf import FinitePresheaf, _from_images, _map, _UnionFind
-from .site import CubeMorphism, SimplexMorphism, cube_compose, cube_tensor
+from .presheaf import (
+    FinitePresheaf, _from_images, _map, _UnionFind, representable,
+)
+from .site import CubeMorphism, cube_compose, cube_tensor
 
 
 def _split_face(f, p):
@@ -183,8 +185,6 @@ def product_projection(X, P):
 
 def cylinder(X):
     """(X (x) interval, end inclusions i0, i1, projection)."""
-    from .presheaf import representable
-
     interval = representable("cubical", 1, X.trunc_dim)
     P = geometric_product(X, interval, trunc_dim=X.trunc_dim)
     i0 = end_inclusion(X, P, interval, 0)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, and determinism."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -433,6 +434,13 @@ def test_psi_check_out_of_the_empty_graph_draws_no_samples(tmp_path, capsys):
                              "downstairs": 0}
     assert report["fullness"] == report["faithfulness"] == []
     assert report["passed"] is True
+
+
+def test_psi_check_json_is_pinned(files, capsys):
+    code, out = run(["psi-check", "--f", files["id-i1.json"], "--g",
+                     files["id-i1.json"], "--samples", "2", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("4c53aa4dfce2")
 
 
 def test_explicit_zero_max_steps_is_honoured(files, capsys):

@@ -1,7 +1,9 @@
 """Paths, bounded path homotopy, fundamental groupoid presentations, and
 the pullback comparison machinery."""
 
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter, deque
 from types import SimpleNamespace
@@ -275,6 +277,18 @@ def test_isofibration_yes_and_counterexample():
     assert rep.verdict == "counterexample"
 
 
+def test_isofibration_compares_long_candidates_at_their_length():
+    # the inclusion I3 -> C4 misses the lift of the step 0 -> 3, and the
+    # source walks tried instead run up to max_len + max_support steps;
+    # comparing them at max_support alone raised a ValueError
+    f = gr.GraphMap(gr.interval(3), gr.cycle(4), {0: 0, 1: 1, 2: 2, 3: 3})
+    for max_len, max_support, tested in ((2, 2, 28), (4, 3, 220)):
+        rep = pi1.is_isofibration_bounded(
+            f, max_len=max_len, max_support=max_support)
+        assert rep.verdict == "yes_on_tested_range"
+        assert rep.detail == {"tested": tested}
+
+
 def test_psi_comparison_small_instance():
     C3 = gr.cycle(3)
     pt = gr.interval(0)
@@ -284,6 +298,15 @@ def test_psi_comparison_small_instance():
     assert report["pi0"]["verdict"] == "bijection"
     for entry in report["fullness"]:
         assert entry["verdict"] in ("pass", "inconclusive", "skipped")
+
+
+def test_psi_comparison_report_is_pinned():
+    C5 = gr.cycle(5)
+    f = gr.constant_map(C5, gr.interval(0), 0)
+    report = pi1.psi_comparison(f, f, samples=2, seed=0)
+    digest = hashlib.sha256(json.dumps(
+        report, sort_keys=True, default=repr).encode()).hexdigest()
+    assert digest.startswith("f4344a6837df")
 
 
 def test_psi_comparison_with_an_empty_pullback_draws_no_samples():
