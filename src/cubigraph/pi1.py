@@ -92,11 +92,6 @@ def inverse(p):
     return p.reversed()
 
 
-def _paddings(word, pad_front, pad_back):
-    """The word padded with endpoint repeats at the front and the back."""
-    return (word[0],) * pad_front + word + (word[-1],) * pad_back
-
-
 def _clamp(i, n):
     return 0 if i < 0 else n - 1 if i >= n else i
 
@@ -637,6 +632,13 @@ def _lift_homotopy_square(f, eta, tau_img_lift, H_layers):
 _TAU_TRIES = 16  # draws of tau per fullness sample
 
 
+def _homotopic(p, q, max_support, max_steps):
+    """path_homotopic_bounded with the support raised to the paths' own
+    lengths where they are longer, so any two sampled paths compare."""
+    return path_homotopic_bounded(
+        p, q, max(max_support, len(p), len(q)), max_steps)
+
+
 def psi_comparison(f, g, samples=10, seed=0, max_len=4,
                    max_support=8, max_steps=20000):
     """Bounded check of the pullback-groupoid comparison functor.
@@ -648,9 +650,10 @@ def psi_comparison(f, g, samples=10, seed=0, max_len=4,
     the checking: morphism pairs downstairs, for which the path surgery
     that produces an on-the-nose representative upstairs is replayed
     (fullness), and parallel path pairs upstairs whose projections are
-    homotopic, which must be homotopic upstairs (faithfulness).
-    Per-sample verdicts are pass, inconclusive or skipped; a fullness
-    sample that fails marks the report failed.
+    homotopic, which must be homotopic upstairs (faithfulness).  Every
+    homotopy search runs at max_support, or at the longer of its two
+    paths where that is more.  Per-sample verdicts are pass, inconclusive
+    or skipped; a fullness sample that fails marks the report failed.
     """
     X, Y = f.source, g.source
     P, p1, p2 = pullback(f, g)
@@ -680,9 +683,7 @@ def psi_comparison(f, g, samples=10, seed=0, max_len=4,
             tau = _sample_path(Y, y0, rng, max_len)
             if g.assignment[tau.end] == f.assignment[eta.end]:
                 break
-        sample = _fullness_sample(
-            f, g, P, eta, tau, max_support, max_steps
-        )
+        sample = _fullness_sample(f, g, eta, tau, max_support, max_steps)
         report["fullness"].append(sample)
         if sample["verdict"] == "fail":
             report["passed"] = False
@@ -692,38 +693,30 @@ def psi_comparison(f, g, samples=10, seed=0, max_len=4,
         v0 = rng.choice(P.vertices)
         gamma = _sample_path(P, v0, rng, max_len)
         # gamma is itself among the candidates, so the list is never empty
-        delta = make_path(P, rng.choice(
-            _paths_between(P, gamma.start, gamma.end, max_len)
-        ))
+        delta = make_path(P, rng.choice([
+            w for w in _walks(P, gamma.start, max_len) if w[-1] == gamma.end
+        ]))
         sample = {"gamma": gamma.word, "delta": delta.word}
-        r1 = path_homotopic_bounded(
-            gamma.mapped(p1), delta.mapped(p1), max_support, max_steps
-        )
-        r2 = path_homotopic_bounded(
-            gamma.mapped(p2), delta.mapped(p2), max_support, max_steps
-        )
+        r1 = _homotopic(
+            gamma.mapped(p1), delta.mapped(p1), max_support, max_steps)
+        r2 = _homotopic(
+            gamma.mapped(p2), delta.mapped(p2), max_support, max_steps)
         if r1.verdict == "yes" and r2.verdict == "yes":
-            up = path_homotopic_bounded(
-                gamma, delta, max_support, max_steps
-            )
-            sample["verdict"] = (
-                "pass" if up.verdict == "yes" else "inconclusive"
-            )
+            up = _homotopic(gamma, delta, max_support, max_steps).verdict
+            sample["verdict"] = "pass" if up == "yes" else "inconclusive"
         else:
             sample["verdict"] = "skipped (projections not identified)"
         report["faithfulness"].append(sample)
     return report
 
 
-def _fullness_sample(f, g, P, eta, tau, max_support, max_steps):
+def _fullness_sample(f, g, eta, tau, max_support, max_steps):
     sample = {"eta": eta.word, "tau": tau.word}
     if f.assignment[eta.end] != g.assignment[tau.end]:
         # (eta, tau) is not a morphism pair of the pullback groupoid
         sample["verdict"] = "skipped (images end apart)"
         return sample
-    down = path_homotopic_bounded(
-        eta.mapped(f), tau.mapped(g), max_support, max_steps
-    )
+    down = _homotopic(eta.mapped(f), tau.mapped(g), max_support, max_steps)
     if down.verdict != "yes":
         sample["verdict"] = f"skipped (images: {down.verdict})"
         return sample
@@ -736,12 +729,11 @@ def _fullness_sample(f, g, P, eta, tau, max_support, max_steps):
         sample["verdict"] = "inconclusive (no homotopy square lift)"
         return sample
     eta_prime = concat(lifted, alpha.reversed())
-    # (eta', tau) is an on-the-nose pair: f(eta') = g(tau) up to padding
-    back = path_homotopic_bounded(
-        eta, eta_prime,
-        max(max_support, len(eta), len(eta_prime)), max_steps,
-    )
-    pair_ok = _pairs_to_pullback_path(f, g, P, eta_prime, tau)
+    back = _homotopic(eta, eta_prime, max_support, max_steps)
+    # (eta', tau) pairs to a path of the pullback when endpoint paddings
+    # of the two make their images agree pointwise; padding repeats only
+    # end vertices, so that holds exactly when the trimmed images agree
+    pair_ok = eta_prime.mapped(f).word == tau.mapped(g).word
     if back.verdict == "yes" and pair_ok:
         sample["verdict"] = "pass"
     elif not pair_ok:
@@ -749,27 +741,6 @@ def _fullness_sample(f, g, P, eta, tau, max_support, max_steps):
     else:
         sample["verdict"] = f"inconclusive (eta comparison: {back.verdict})"
     return sample
-
-
-def _pairs_to_pullback_path(f, g, P, ex, wy):
-    """Whether two component paths pair to a path in the pullback.
-
-    Tries every endpoint padding of both words to a common length; the
-    pair forms a pullback path when some alignment makes the images agree
-    pointwise.
-    """
-    la, lb = len(ex.word), len(wy.word)
-    for width in range(max(la, lb), la + lb + 1):
-        for fa in range(width - la + 1):
-            xw = _paddings(ex.word, fa, width - la - fa)
-            for fb in range(width - lb + 1):
-                yw = _paddings(wy.word, fb, width - lb - fb)
-                if all(
-                    f.assignment[x] == g.assignment[y]
-                    for x, y in zip(xw, yw)
-                ):
-                    return True
-    return False
 
 
 def _lift_path(f, x0, path_down):
@@ -797,18 +768,24 @@ def _lift_path(f, x0, path_down):
     return None
 
 
-def _paths_between(graph, a, b, max_len):
-    """All trimmed words from a to b with at most max_len steps."""
-    out = set()
+def _walks(graph, a, max_len):
+    """Every trimmed word from a with at most max_len steps, once each,
+    ascending.
+
+    A depth-first search over the prefixes that move on their first step,
+    children in ascending order, so its preorder is ascending tuple order;
+    a prefix is a trimmed word exactly when its last step moved.
+    """
     stack = [(a,)]
     while stack:
         prefix = stack.pop()
-        if prefix[-1] == b:
-            out.add(_trim(prefix))
+        if len(prefix) == 1 or prefix[-2] != prefix[-1]:
+            yield prefix
         if len(prefix) <= max_len:
-            for w in graph.neighbors(prefix[-1]):
-                stack.append(prefix + (w,))
-    return sorted(out)
+            stack.extend(
+                prefix + (v,)
+                for v in sorted(graph.neighbors(prefix[-1]), reverse=True)
+                if len(prefix) > 1 or v != a)
 
 
 @dataclass
@@ -822,54 +799,46 @@ def is_isofibration_bounded(f, max_len=4, max_support=8, max_steps=20000,
     """Bounded check that the induced groupoid functor lifts isomorphisms.
 
     For each source object x and each target path out of f(x) (all of
-    them up to max_len steps, or a seeded sample), searches a source path
-    from x whose image is the given path up to bounded homotopy.  A
-    counterexample is certified when no source vertex at all sits over
-    the target endpoint (so no lift can exist at any bound); otherwise
-    misses stay inconclusive.
+    them up to max_len steps, ordered by end vertex, or a seeded sample),
+    tries an exact lift from x first.  On a miss it compares the path
+    with the distinct images of the source walks from x of up to
+    max_len + max_support steps that end over its end, at max_support or
+    at the longer of the two where that is more.  A counterexample is
+    certified when no source vertex at all sits over the target endpoint
+    (so no lift can exist at any bound); otherwise misses stay
+    inconclusive.
     """
     X, Y = f.source, f.target
     rng = random.Random(seed)
     tested = 0
     inconclusive = 0
     for x in X.vertices:
-        y = f.assignment[x]
-        targets = []
-        for end in Y.vertices:
-            targets.extend(
-                make_path(Y, w) for w in _paths_between(Y, y, end, max_len)
-            )
+        targets = [make_path(Y, w) for w in sorted(
+            _walks(Y, f.assignment[x], max_len),
+            key=lambda w: Y._pos[w[-1]])]
         if samples is not None and len(targets) > samples:
             targets = rng.sample(targets, samples)
+        images = None  # the trimmed images of the walks from x, on a miss
         for eta in targets:
             tested += 1
-            lifted = _lift_path(f, x, eta)
-            if lifted is not None:
+            if _lift_path(f, x, eta) is not None:
                 continue
-            fiber = [
-                v for v in X.vertices if f.assignment[v] == eta.end
-            ]
-            if not fiber:
+            if all(f.assignment[v] != eta.end for v in X.vertices):
                 return IsofibrationReport(
                     "counterexample",
                     {"object": x, "path": eta.word,
                      "reason": "empty fiber over the path end"},
                 )
-            found = False
-            for end in fiber:
-                for w in _paths_between(X, x, end, max_len + max_support):
-                    image = make_path(X, w).mapped(f)
-                    # candidates run up to max_len + max_support steps
-                    r = path_homotopic_bounded(
-                        image, eta,
-                        max(max_support, len(image), len(eta)), max_steps,
-                    )
-                    if r.verdict == "yes":
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
+            if images is None:
+                images = dict.fromkeys(
+                    _trim([f.assignment[v] for v in w])
+                    for w in _walks(X, x, max_len + max_support))
+            if not any(
+                word[-1] == eta.end and _homotopic(
+                    make_path(Y, word), eta, max_support, max_steps,
+                ).verdict == "yes"
+                for word in images
+            ):
                 # a miss is only a bounded statement, whether every
                 # candidate failed or some search ran out, so stay honest
                 inconclusive += 1

@@ -443,6 +443,20 @@ def test_psi_check_json_is_pinned(files, capsys):
     assert hashlib.sha256(out.encode()).hexdigest().startswith("4c53aa4dfce2")
 
 
+def test_psi_check_at_a_support_below_the_path_lengths(files):
+    # each search compares the sampled paths at their own length where
+    # that is above --support, so a small support is no error
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    for support in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubigraph.cli", "psi-check",
+             "--f", files["id-i1.json"], "--g", files["id-i1.json"],
+             "--support", support],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_explicit_zero_max_steps_is_honoured(files, capsys):
     code, out = run(
         ["paths-homotopic", "--graph", files["c5.json"], "--p1", "0,1,2",

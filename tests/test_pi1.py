@@ -281,12 +281,158 @@ def test_isofibration_compares_long_candidates_at_their_length():
     # the inclusion I3 -> C4 misses the lift of the step 0 -> 3, and the
     # source walks tried instead run up to max_len + max_support steps;
     # comparing them at max_support alone raised a ValueError
-    f = gr.GraphMap(gr.interval(3), gr.cycle(4), {0: 0, 1: 1, 2: 2, 3: 3})
-    for max_len, max_support, tested in ((2, 2, 28), (4, 3, 220)):
-        rep = pi1.is_isofibration_bounded(
-            f, max_len=max_len, max_support=max_support)
+    incl = gr.GraphMap(gr.interval(3), gr.cycle(4), {0: 0, 1: 1, 2: 2, 3: 3})
+    # over I1, the lift 0, 2, 4 of (1, 0) from 0 first moves inside the
+    # fibre over 1, so the exact lift misses it and the image search runs
+    X = gr.Graph(range(5), [(0, 1), (0, 2), (2, 4), (3, 4)])
+    fibre = gr.GraphMap(X, gr.interval(1), {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
+    for f, kwargs, tested in ((incl, dict(max_len=2, max_support=2), 28),
+                              (incl, dict(max_len=4, max_support=3), 220),
+                              (incl, {}, 220), (fibre, {}, 45)):
+        rep = pi1.is_isofibration_bounded(f, **kwargs)
         assert rep.verdict == "yes_on_tested_range"
         assert rep.detail == {"tested": tested}
+
+
+def _walks_by_brute_force(graph, a, max_len):
+    """Every walk from a of at most max_len steps, trimmed, deduplicated
+    and sorted."""
+    walks = [(a,)]
+    for walk in walks:
+        if len(walk) <= max_len:
+            walks.extend(walk + (v,) for v in graph.neighbors(walk[-1]))
+    return sorted({pi1._trim(walk) for walk in walks})
+
+
+def test_walks_agree_with_brute_force():
+    rng = random.Random(6)
+    for G in _step_test_graphs(rng):
+        for a in G.vertices:
+            assert list(pi1._walks(G, a, 0)) == [(a,)]
+            for max_len in range(1, 5):
+                assert list(pi1._walks(G, a, max_len)) == (
+                    _walks_by_brute_force(G, a, max_len)), (a, max_len)
+
+
+def _paths_between(graph, a, b, max_len):
+    """All trimmed words from a to b with at most max_len steps."""
+    out = set()
+    stack = [(a,)]
+    while stack:
+        prefix = stack.pop()
+        if prefix[-1] == b:
+            out.add(pi1._trim(prefix))
+        if len(prefix) <= max_len:
+            for w in graph.neighbors(prefix[-1]):
+                stack.append(prefix + (w,))
+    return sorted(out)
+
+
+def _isofibration_oracle(f, max_len, max_support, max_steps, samples, seed):
+    """(verdict, detail) of is_isofibration_bounded as it was before the
+    walks from each object were listed once: the walks to each end are
+    listed per call, and a miss searches every walk into the fibre over
+    the path's end, vertex by vertex."""
+    X, Y = f.source, f.target
+    rng = random.Random(seed)
+    tested = 0
+    inconclusive = 0
+    for x in X.vertices:
+        y = f.assignment[x]
+        targets = []
+        for end in Y.vertices:
+            targets.extend(
+                pi1.make_path(Y, w)
+                for w in _paths_between(Y, y, end, max_len))
+        if samples is not None and len(targets) > samples:
+            targets = rng.sample(targets, samples)
+        for eta in targets:
+            tested += 1
+            if pi1._lift_path(f, x, eta) is not None:
+                continue
+            fiber = [v for v in X.vertices if f.assignment[v] == eta.end]
+            if not fiber:
+                return "counterexample", {
+                    "object": x, "path": eta.word,
+                    "reason": "empty fiber over the path end"}
+            found = False
+            for end in fiber:
+                for w in _paths_between(X, x, end, max_len + max_support):
+                    image = pi1.make_path(X, w).mapped(f)
+                    r = pi1.path_homotopic_bounded(
+                        image, eta,
+                        max(max_support, len(image), len(eta)), max_steps)
+                    if r.verdict == "yes":
+                        found = True
+                        break
+                if found:
+                    break
+            if not found:
+                inconclusive += 1
+    if inconclusive:
+        return "inconclusive", {"tested": tested, "undecided": inconclusive}
+    return "yes_on_tested_range", {"tested": tested}
+
+
+def _random_graph_map(rng, X, Y):
+    while True:
+        f = gr.GraphMap(X, Y, {v: rng.randrange(len(Y.vertices))
+                               for v in X.vertices})
+        if f.is_valid():
+            return f
+
+
+def test_isofibration_agrees_with_the_per_fibre_oracle():
+    rng = random.Random(8)
+    verdicts = Counter()
+    for _ in range(160):
+        X = _random_graph(rng, rng.randint(1, 5), 0.5)
+        Y = _random_graph(rng, rng.randint(1, 4), 0.6)
+        f = _random_graph_map(rng, X, Y)
+        args = (rng.randint(1, 3), rng.randint(1, 2), 2000,
+                rng.choice((None, 6)), rng.randrange(100))
+        rep = pi1.is_isofibration_bounded(f, *args)
+        expected = _isofibration_oracle(f, *args)
+        assert (rep.verdict, rep.detail) == expected, (f.assignment, args)
+        verdicts[rep.verdict] += 1
+    assert set(verdicts) == {
+        "yes_on_tested_range", "counterexample", "inconclusive"}, verdicts
+
+
+def _pairs_by_padding(f, g, ex, wy):
+    """Whether some endpoint paddings of the two words to a common length
+    make their images under f and g agree pointwise."""
+    la, lb = len(ex.word), len(wy.word)
+    for width in range(max(la, lb), la + lb + 1):
+        for fa in range(width - la + 1):
+            xw = (ex.start,) * fa + ex.word + (ex.end,) * (width - la - fa)
+            for fb in range(width - lb + 1):
+                yw = (wy.start,) * fb + wy.word + (wy.end,) * (
+                    width - lb - fb)
+                if all(f.assignment[x] == g.assignment[y]
+                       for x, y in zip(xw, yw)):
+                    return True
+    return False
+
+
+def test_pullback_pairing_is_equality_of_trimmed_images():
+    # the fullness check pairs (eta', tau) to a path of the pullback by
+    # comparing the trimmed images, in place of the padding search
+    rng = random.Random(9)
+    outcomes = Counter()
+    for _ in range(3000):
+        Z = _random_graph(rng, rng.randint(1, 3), 0.7)
+        X = _random_graph(rng, rng.randint(1, 4), 0.6)
+        Y = _random_graph(rng, rng.randint(1, 4), 0.6)
+        f, g = _random_graph_map(rng, X, Z), _random_graph_map(rng, Y, Z)
+        ex = pi1.make_path(X, _random_walk(
+            rng, X, rng.choice(X.vertices), rng.randint(0, 4)))
+        wy = pi1.make_path(Y, _random_walk(
+            rng, Y, rng.choice(Y.vertices), rng.randint(0, 4)))
+        paired = ex.mapped(f).word == wy.mapped(g).word
+        assert _pairs_by_padding(f, g, ex, wy) == paired, (ex, wy)
+        outcomes[paired] += 1
+    assert min(outcomes[True], outcomes[False]) > 300, outcomes
 
 
 def test_psi_comparison_small_instance():
@@ -298,6 +444,15 @@ def test_psi_comparison_small_instance():
     assert report["pi0"]["verdict"] == "bijection"
     for entry in report["fullness"]:
         assert entry["verdict"] in ("pass", "inconclusive", "skipped")
+
+
+def test_psi_comparison_at_a_support_below_the_path_lengths():
+    # sampled paths run up to max_len = 4 steps; each search compares
+    # them at their own length, where that is above max_support
+    idI1 = gr.graph_identity(gr.interval(1))
+    for support in (0, 1):
+        report = pi1.psi_comparison(idI1, idI1, samples=2, max_support=support)
+        assert len(report["fullness"]) == len(report["faithfulness"]) == 2
 
 
 def test_psi_comparison_report_is_pinned():
@@ -355,7 +510,8 @@ def _step_neighbors(graph, word, max_support):
     base_len = len(word)
     for length in range(base_len, max_support + 2):
         for front in range(length - base_len + 1):
-            padded = pi1._paddings(word, front, length - base_len - front)
+            padded = ((x,) * front + word
+                      + (y,) * (length - base_len - front))
             stack = [(x,)]
             while stack:
                 prefix = stack.pop()
