@@ -10,6 +10,11 @@ to a common length with their (shared) endpoint values.  Because no
 a-priori bound on intermediate window growth exists, verdicts are
 three-valued: yes (with the homotopy layers), no_exhausted (the whole
 reachable set within the support bound was explored), or inconclusive.
+The search runs on integer vertex ids (a vertex's stored position): the
+graph's closed neighbourhoods, as id lists and as bitmasks, are built once
+per search.  Each popped word gets one step table, a row of shift
+masks per position indexed by id, and both the goal test and the step
+enumeration read that one table, so one rule defines a step.
 
 The fundamental groupoid is presented per component by a spanning tree:
 generators are the non-tree edges, relators come from the 3- and 4-cycles
@@ -111,6 +116,21 @@ def _shift_rows(n, top):
     return tuple(rows)
 
 
+def _vertex_ids(graph):
+    """Id tables of a graph; a vertex's id is its stored position.
+    Returns the vertices by id, vertex -> id, and three tables by id: the
+    closed neighbourhood as an id list, the same as a bitmask, and the
+    closed neighbourhood in descending vertex value, so that a stack pops
+    it in ascending value, the order of sorted(graph.neighbors(v))."""
+    verts = graph.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    close = [[i] + [index[u] for u in graph.adj[v]]
+             for i, v in enumerate(verts)]
+    masks = [sum(1 << u for u in ids) for ids in close]
+    down = [sorted(ids, key=verts.__getitem__, reverse=True) for ids in close]
+    return verts, index, close, masks, down
+
+
 def _completions(graph, x, y, top):
     """more[j][v]: the number of trimmed x -> y words of length <= top
     (consecutive vertices adjacent or equal, w[1] != x, w[-2] != y) that
@@ -130,109 +150,134 @@ def _completions(graph, x, y, top):
     return more
 
 
-def _step_words(graph, word, max_support, _admitted=None):
-    """The trimmed words one homotopy step from the given one, ascending.
+def _step_table(ids, word, top):
+    """The step table of a word for words of length <= top, given the
+    graph's id tables: those tables, the word's ids w and the shift masks
+    front, tail and rows (bit k of a mask is shift k + 1 - top).
 
     Two words are one step apart when some endpoint paddings to a common
-    length of at most max_support + 1 make them pointwise adjacent;
-    endpoints always stay fixed.  Padding with endpoint repeats reads
-    padded[k] = word[clamp(k - front)], so a trimmed word b of length m is
-    one step from word (length n) exactly when some shift s in
-    [m - top, top - n], top = max_support + 1, has b[clamp(i)] adjacent or
-    equal to word[clamp(i - s)] for every integer i.
+    length of at most top make them pointwise adjacent; endpoints always
+    stay fixed.  Padding with endpoint repeats reads
+    padded[k] = word[clamp(k - front)], so a trimmed word b of length m
+    with the word's endpoints is one step from the word (length n) exactly
+    when some shift s in [m - top, top - n] has b[clamp(i)] adjacent or
+    equal to word[clamp(i - s)] for every integer i.  Here front holds the
+    shifts under which the start faces every word[j], j < -s; tail[m] the
+    shifts under which the end faces every word[j], j >= m - s; and
+    rows[i][v] the shifts under which vertex id v at position i faces
+    word[clamp(i - s)].  So b is one step away exactly when
+    front & tail[m] & rows[0][b[0]] & ... & rows[m - 1][b[m - 1]] != 0,
+    with ids for vertices.
 
-    One depth-first search over trimmed prefixes carries the set of shifts
-    still alive as a bitmask (bit k is shift k + 1 - top).  Children are
-    visited in ascending vertex order, so the preorder is ascending tuple
-    order and each neighbour is yielded once, in sorted order.
-
-    _admitted, a pair (seen, more) from path_homotopic_bounded, skips each
-    child prefix P with seen[P] equal to its count of trimmed words (see
-    _completions): every word of that subtree is already admitted, and
-    cutting whole subtrees out of an ascending preorder leaves the other
-    words yielded in the same order.
+    rows[1] drops the start, which a trimmed word never repeats, and a
+    backward pass keeps only the shifts under which a prefix through v at
+    position i can still be completed to such a word, so a search along
+    the rows never enters a dead end.
     """
-    n, top = len(word), max_support + 1
-    x, y = word[0], word[-1]
+    _, index, close, masks, _ = ids
+    w = [index[v] for v in word]
+    n = len(w)
+    x, y = w[0], w[-1]
     span = 2 * top - n  # shifts 1 - top .. top - n
-    close = {v: graph.neighbors(v) for v in set(word)}
-    # front: shift s needs x to face word[j] for every j < -s; tail[m]:
-    # y to face word[j] for every j >= m - s.  With word[:h] the longest
-    # prefix facing x and word[g:] the longest suffix facing y, these keep
-    # the bits k >= top - 1 - h (all if h == n) and k < m + top - g
-    h = next((j for j, v in enumerate(word) if not graph.adjacent(x, v)), n)
+    # with w[:h] the longest prefix facing x and w[g:] the longest suffix
+    # facing y, front keeps the bits k >= top - 1 - h (all if h == n) and
+    # tail[m] the bits k < m + top - g
+    h = next((j for j, v in enumerate(w) if not masks[x] >> v & 1), n)
     g = next((j + 1 for j in range(n - 1, -1, -1)
-              if not graph.adjacent(y, word[j])), 0)
+              if not masks[y] >> w[j] & 1), 0)
     every = (1 << span) - 1
     front = every if h == n else every >> (top - 1 - h) << (top - 1 - h)
     tail = [every if g == 0 else (1 << min(span, m + top - g)) - 1
             for m in range(top + 1)]
-    # rows[i][v]: the shifts under which v at position i faces
-    # word[clamp(i - s)]
     rows = []
     for shifts in _shift_rows(n, top):
-        row = {}
+        row = [0] * len(close)
         for j, bits in shifts:
-            for v in close[word[j]]:
-                row[v] = row.get(v, 0) | bits
+            for v in close[w[j]]:
+                row[v] |= bits
         rows.append(row)
     if top > 1:
-        rows[1].pop(x, None)  # a trimmed word never repeats its start
-    # backward pass: keep only the shifts under which a prefix through v
-    # at position i can still be completed to an admissible word, so the
-    # search below never enters a dead end
-    later = {}
+        rows[1][x] = 0
+    later = [0] * len(close)
     for i in range(top - 1, -1, -1):
-        row = {}
-        for v, bits in rows[i].items():
-            reach = later.get(v, 0) | (tail[i + 1] if v == y else 0)
-            for u in graph.adj[v]:
-                reach |= later.get(u, 0)
-            if bits & reach:
+        row = rows[i]
+        for v, bits in enumerate(row):
+            if bits:
+                reach = tail[i + 1] if v == y else 0
+                for u in close[v]:
+                    reach |= later[u]
                 row[v] = bits & reach
-        rows[i] = later = row
-    seen, more = _admitted or ({}, None)
-    ascending = {}
-    stack = [((x,), front & rows[0].get(x, 0))]
+        later = row
+    return ids, w, front, tail, rows
+
+
+def _step_words(graph, word, max_support, _admitted=None, _table=None):
+    """The trimmed words one homotopy step from the given one, ascending.
+
+    The step relation is the one of _step_table with top = max_support + 1.
+    One depth-first search over trimmed prefixes reads the word's rows,
+    carrying the set of shifts still alive as a bitmask.  It keeps the
+    current prefix as vertex ids in one array and builds a tuple only for
+    a word it yields.  Children are visited in ascending vertex value, so
+    the preorder is ascending tuple order and each neighbour is yielded
+    once, in sorted order.
+
+    _admitted, a pair (seen, more) from path_homotopic_bounded, skips each
+    child prefix P with seen[code(P)] equal to its count of trimmed words
+    (more[m][v] for P ending in v at position m, by id; see _completions):
+    every word of that subtree is already admitted, and cutting whole
+    subtrees out of an ascending preorder leaves the other words yielded
+    in the same order.  code(P) reads the ids of P plus one as digits in
+    bijective base |V| + 1, so prefixes of different lengths never share
+    a code.  _table is the word's step table, when the caller has it.
+    """
+    top = max_support + 1
+    ids, w, front, tail, rows = _table or _step_table(
+        _vertex_ids(graph), word, top)
+    verts, _, _, _, down = ids
+    x, y = w[0], w[-1]
+    base = len(verts) + 1
+    # with nothing admitted, every child is entered
+    seen, more = _admitted or ({}, [[0] * len(verts)] * top)
+    admitted = seen.get
+    prefix = [x] * top
+    stack = [(0, x, x + 1, front & rows[0][x])]
+    push = stack.append
     while stack:
-        prefix, live = stack.pop()
-        m = len(prefix)
-        last = prefix[-1]
-        if (last == y and (m == 1 or prefix[-2] != y)
-                and live & tail[m] and prefix != word):
-            yield prefix
+        i, last, code, live = stack.pop()
+        prefix[i] = last
+        m = i + 1
+        if (last == y and (i == 0 or prefix[i - 1] != y)
+                and live & tail[m] and prefix[:m] != w):
+            yield tuple([verts[v] for v in prefix[:m]])
         if m == top:
             continue
-        row = rows[m]
-        if last not in ascending:
-            ascending[last] = sorted(graph.neighbors(last), reverse=True)
-        for v in ascending[last]:
-            bits = live & row.get(v, 0)
+        row, words = rows[m], more[m]
+        code *= base
+        for v in down[last]:
+            bits = live & row[v]
             if bits:
-                child = prefix + (v,)
-                done = seen.get(child)
-                if done is None or done != (
-                        (v == y and last != y) + more[m][v]):
-                    stack.append((child, bits))
+                child = code + v + 1
+                if admitted(child) != (
+                        words[v] + (v == y and last != y)):
+                    push((m, v, child, bits))
 
 
-def _one_step(graph, a, b, max_support):
-    """Whether the trimmed word b is one homotopy step from the word a.
-
-    The shift rule of _step_words for a single pair: b (length m, same
-    endpoints, a path) is one step from a (length n) when some shift s in
-    [m - top, top - n] has b[clamp(i)] facing a[clamp(i - s)] for all i.
-    """
-    n, m, top = len(a), len(b), max_support + 1
-    if a == b or m > top:
+def _one_step(graph, a, b, max_support, _table=None):
+    """Whether the trimmed word b, with a's endpoints, is one homotopy
+    step from the word a: the AND of a's step table along b (see
+    _step_table) is non-zero.  _table is a's step table, when the caller
+    has it."""
+    top = max_support + 1
+    if a == b or len(b) > top or a[0] != b[0] or a[-1] != b[-1]:
         return False
-    for s in range(m - top, top - n + 1):
-        if all(
-            graph.adjacent(b[_clamp(i, m)], a[_clamp(i - s, n)])
-            for i in range(min(0, s), max(m, s + n))
-        ):
-            return True
-    return False
+    ids, _, front, tail, rows = _table or _step_table(
+        _vertex_ids(graph), a, top)
+    index = ids[1]
+    live = front & tail[len(b)]
+    for row, v in zip(rows, b):
+        live &= row[index[v]]
+    return live != 0
 
 
 @dataclass
@@ -252,6 +297,13 @@ def path_homotopic_bounded(p, q, max_support=None, max_steps=20000):
     not enumerated again: each step enumeration skips the prefixes all of
     whose trimmed words are admitted, which leaves the search, its
     explored count and its layers unchanged.
+
+    The search runs on integer vertex ids: the graph's id tables
+    (_vertex_ids) and the completion counts, as lists by id, are built
+    once per search, and the admitted prefixes are counted by their int
+    codes.  Each popped word's step table is built
+    once, and both the goal test (_one_step) and the step enumeration
+    (_step_words) read it.
     """
     if p.graph is not q.graph and p.graph.vertices != q.graph.vertices:
         raise ValueError("paths live in different graphs")
@@ -264,32 +316,40 @@ def path_homotopic_bounded(p, q, max_support=None, max_steps=20000):
     if p.word == q.word:
         return HomotopyReport("yes", [p.word])
     graph = p.graph
+    top = max_support + 1
+    ids = _vertex_ids(graph)
+    verts, index = ids[0], ids[1]
+    base = len(verts) + 1
     parent = {p.word: None}
     frontier = deque([p.word])
     explored = 0
-    # seen[P]: the admitted words with prefix P, len(P) >= 2; the words in
-    # fresh are counted only before the next step enumeration, so a search
-    # that ends on its next pop never pays for them
+    # seen[code(P)]: the admitted words with prefix P, len(P) >= 2; the
+    # words in fresh are counted only before the next step enumeration, so
+    # a search that ends on its next pop never pays for them
     seen, fresh = {}, [p.word]
-    more = _completions(graph, p.start, p.end, max_support + 1)
+    more = [[row[v] for v in verts]
+            for row in _completions(graph, p.start, p.end, top)]
     while frontier:
         cur = frontier.popleft()
         explored += 1
         if explored > max_steps:
             return HomotopyReport("inconclusive", None, explored)
+        table = _step_table(ids, cur, top)
         # q is never in parent, so the scan below would reach it exactly
         # when it is one step from cur
-        if _one_step(graph, cur, q.word, max_support):
+        if _one_step(graph, cur, q.word, max_support, table):
             layers = [q.word, cur]
             while parent[layers[-1]] is not None:
                 layers.append(parent[layers[-1]])
             layers.reverse()
             return HomotopyReport("yes", layers, explored)
         for w in fresh:
-            for m in range(2, len(w) + 1):
-                seen[w[:m]] = seen.get(w[:m], 0) + 1
+            code = index[w[0]] + 1
+            for v in w[1:]:
+                code = code * base + index[v] + 1
+                seen[code] = seen.get(code, 0) + 1
         fresh = []
-        for nxt in _step_words(graph, cur, max_support, (seen, more)):
+        for nxt in _step_words(graph, cur, max_support, (seen, more), table):
             if nxt not in parent:
                 parent[nxt] = cur
                 frontier.append(nxt)
@@ -653,7 +713,11 @@ def psi_comparison(f, g, samples=10, seed=0, max_len=4,
     homotopic, which must be homotopic upstairs (faithfulness).  Every
     homotopy search runs at max_support, or at the longer of its two
     paths where that is more.  Per-sample verdicts are pass, inconclusive
-    or skipped; a fullness sample that fails marks the report failed.
+    or skipped.  A fullness sample whose pairing check fails would mark
+    the report failed, but the check always holds: the right edge of the
+    lifted homotopy square lies over the common end, so eta' maps to the
+    trimmed image of tau.  So "passed" is never False, and psi-check never
+    exits 1 (the CHANGES.md FOUND line on psi_comparison's "passed").
     """
     X, Y = f.source, g.source
     P, p1, p2 = pullback(f, g)

@@ -657,8 +657,61 @@ def test_homotopy_search_agrees_with_unpruned_oracle(monkeypatch):
         verdicts[rep.verdict] += 1
     assert set(verdicts) == {"yes", "no_exhausted", "inconclusive"}
     # the skip must cut work, not only keep the result: most yields of
-    # the unpruned search repeat an admitted word
+    # the unpruned search repeat an admitted word.  The search must also
+    # enumerate through _step_words, or the pruned count stays 0 and the
+    # ratio below holds for nothing
+    assert yields["pruned"] > 0, yields
     assert yields["pruned"] * 10 < yields["oracle"], yields
+
+
+def _unsorted_graphs():
+    """C6, C4 and C5xI1 with their vertices stored out of sorted order."""
+    C4 = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+    cyl = gr.box_product(gr.cycle(5), gr.interval(1))
+    return [gr.Graph([3, 0, 5, 1, 4, 2], gr.cycle(6).edges()),
+            gr.Graph(["b", "a", "d", "c"], C4),
+            gr.Graph(cyl.vertices[1::2] + cyl.vertices[::2], cyl.edges())]
+
+
+def test_steps_and_search_follow_vertex_value_not_stored_order():
+    # children are visited in ascending vertex value, as the padding
+    # oracle sorts them, whatever order the graph stores its vertices in
+    rng = random.Random(6)
+    C6, C4, cyl = _unsorted_graphs()
+    cases = [(C6, (0, 1, 2, 3), (0, 5, 4, 3), s) for s in (3, 5, 7)]
+    cases += [(C4, ("a", "b", "c"), ("a", "d", "c", "b", "c"), s)
+              for s in (4, 6)]
+    cases += [(cyl, tuple((v, 1) for v in (0, 1, 2)),
+               ((0, 1), (0, 0), (4, 0), (3, 0), (2, 0), (2, 1)), s)
+              for s in (5, 6)]
+    for G in (C6, C4, cyl):
+        assert list(G.vertices) != sorted(G.vertices)
+        for _ in range(8):
+            start = rng.choice(G.vertices)
+            p = pi1._trim(_random_walk(rng, G, start, rng.randint(1, 5)))
+            support = len(p) - 1 + rng.randint(0, 2)
+            oracle = _step_neighbors(G, p, support)
+            assert list(pi1._step_words(G, p, support)) == sorted(oracle)
+            assert all(pi1._one_step(G, p, b, support) for b in oracle)
+            for _ in range(40):
+                q = pi1._trim(_random_walk(rng, G, start, rng.randint(2, 6)))
+                if q[-1] == p[-1] and q != p:
+                    cases.append((G, p, q, max(len(p), len(q)) + 1))
+                    break
+    verdicts = Counter()
+    for G, p, q, support in cases:
+        a, b = pi1.make_path(G, p), pi1.make_path(G, q)
+        rep = pi1.path_homotopic_bounded(a, b, support, 2000)
+        assert (rep.verdict, rep.explored, rep.layers) == _search_oracle(
+            a, b, support, 2000), (p, q)
+        verdicts[rep.verdict] += 1
+    assert set(verdicts) == {"yes", "no_exhausted"}
+    rep = pi1.path_homotopic_bounded(
+        pi1.make_path(C6, (0, 1, 2, 3, 2, 1, 0)), pi1.constant_path(C6, 0),
+        8, 50000)
+    assert (rep.verdict, rep.explored) == ("yes", 146)
+    assert rep.layers == [(0, 1, 2, 3, 2, 1, 0), (0, 1, 0, 0, 1, 2, 1, 0),
+                          (0, 1, 0), (0,)]
 
 
 def test_completion_counts_agree_with_enumeration():
