@@ -137,6 +137,10 @@ def cmd_verify_identities(args, cfg):
     )
     n = args.n if args.n is not None else cfg.n
     k_max = args.k_max if args.k_max is not None else n + 3
+    if k_max < 1:
+        print(f"error: --k-max {k_max} checks no identity; it must be at least 1",
+              file=sys.stderr)
+        return EXIT_INPUT
     lines = []
     results = []
     ok_all = True

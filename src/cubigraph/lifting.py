@@ -99,14 +99,14 @@ def has_rlp(f, gen_set):
 
 
 class GeneratingSet:
-    """A named family of standard-cell inclusions, realized lazily."""
+    """A named family of standard-cell inclusions, realized afresh at a
+    truncation by each realize call."""
 
     def __init__(self, name, n, site_name, member_specs):
         self.name = name
         self.n = n
         self.site = site_name
         self.member_specs = member_specs
-        self._cache = {}
 
     def max_k(self):
         return max(spec["k"] for spec in self.member_specs) if self.member_specs else 0
@@ -116,14 +116,10 @@ class GeneratingSet:
             raise ValueError(
                 f"trunc_dim {trunc_dim} too low for member of dim {self.max_k()}"
             )
-        if trunc_dim in self._cache:
-            return self._cache[trunc_dim]
-        out = [
+        return [
             (self._name_of(spec), _realize_member(self.site, spec, trunc_dim))
             for spec in self.member_specs
         ]
-        self._cache[trunc_dim] = out
-        return out
 
     def _name_of(self, spec):
         bits = [spec["shape"], f"k={spec['k']}"]

@@ -11,7 +11,12 @@ built once per process; a product call keys its gluing by ints.
 
 Triangulation is the colimit of k-simplex chains over the category of
 elements: every n-cell contributes the simplices of (interval)^n, glued by
-the generator actions via a union-find pass.
+the cube action.  Each class of the colimit has one normal form: a
+nondegenerate cell x with a chain that runs from 0...0 to 1...1, since
+cube morphisms factor uniquely as face . epi, cells root uniquely (the
+cube category with connections is Eilenberg-Zilber), and an epi sends
+0...0 and 1...1 to themselves.  The simplices are listed as those
+normal forms, with no gluing pass.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import lru_cache
 
 from . import site as st
 from .presheaf import (
-    FinitePresheaf, _from_images, _map, _UnionFind, representable,
+    FinitePresheaf, _from_images, _map, representable,
 )
 from .site import CubeMorphism, cube_compose, cube_tensor
 
@@ -197,96 +202,52 @@ def cylinder(X):
 
 
 def _chains(n, k):
-    """Monotone maps [k] -> {0,1}^n, the k-simplices of (interval)^n."""
-    out = []
-
-    def go(prefix, last):
-        if len(prefix) == k + 1:
-            out.append(tuple(prefix))
-            return
-        for v in _points_above(last, n):
-            go(prefix + [v], v)
-
-    if k < 0:
-        return []
-    for v0 in _all_points(n):
-        go([v0], v0)
-    return out
-
-
-def _all_points(n):
-    return list(itertools.product((0, 1), repeat=n))
-
-
-def _points_above(v, n):
-    return [
-        w for w in itertools.product((0, 1), repeat=n) if all(a <= b for a, b in zip(v, w))
-    ]
+    """Monotone maps [k] -> {0,1}^n, the k-simplices of (interval)^n, in
+    lexicographic order."""
+    points = list(itertools.product((0, 1), repeat=n))
+    chains = [(v,) for v in points]
+    for _ in range(k):
+        chains = [c + (w,) for c in chains for w in points
+                  if all(a <= b for a, b in zip(c[-1], w))]
+    return chains
 
 
 def triangulate(X, trunc_dim=None):
     """Left extension of [1]^n -> (interval simplicial set)^n along cells.
 
-    The node (k, n, x, s), s the si-th chain of chains[n][k] and x the
-    xi-th n-cell, is the int start[n] + xi * block[n] + koff[n][k] + si:
-    creation order.  Each cubical generator is evaluated on every chain
-    once, not once per cell; labels are built for class roots only."""
+    The k-simplices are the normal forms (k, n, x, s): x a nondegenerate
+    n-cell and s a k-chain of [1]^n from 0...0 to 1...1, listed by n, then
+    x in stored order, then s in _chains order.  A simplicial operator
+    sends (k, n, x, s) to the normal form of its chain t: the coordinates
+    where t starts and ends alike are constant and name a face phi of
+    [1]^n, x . phi roots as r . e, and the image is (r, e . t'), t' the
+    free coordinates of t.  The face and root are unique and e keeps t'
+    running from 0...0 to 1...1, so each colimit class has exactly this
+    one normal form, and the normal forms in this order are the classes
+    in the order of their earliest (cell, chain) pair."""
     if X.site != "cubical":
         raise ValueError("triangulation takes a cubical presheaf")
-    if trunc_dim is None:
-        trunc_dim = X.trunc_dim
-    D = trunc_dim
-    chains = {n: [_chains(n, k) for k in range(D + 1)] for n in X.dims()}
-    chain_at = {
-        n: [{s: i for i, s in enumerate(cs)} for cs in chains[n]]
-        for n in X.dims()
-    }
-    koff, block, start = {}, {}, {}
-    total = 0
-    for n in X.dims():
-        koff[n] = list(itertools.accumulate(map(len, chains[n]), initial=0))
-        block[n] = koff[n][-1]
-        start[n] = total
-        total += len(X.cells[n]) * block[n]
-    classes = _UnionFind()
-    union = classes.union
-    for n in X.dims():
-        for key, g in st.CUBICAL.generators(n, X.trunc_dim):
-            a = g.source_dim
-            # (offset of a chain s in a block of a, offset of g . s in a
-            # block of n)
-            pairs = [
-                (koff[a][k] + si,
-                 koff[n][k] + chain_at[n][k][tuple(map(g.evaluate, s))])
-                for k in range(D + 1)
-                for si, s in enumerate(chains[a][k])
-            ]
-            for xi, t in enumerate(X.action[(key, n)]):
-                y0 = start[a] + t * block[a]
-                x0 = start[n] + xi * block[n]
-                for oa, on in pairs:
-                    union(y0 + oa, x0 + on)
-
-    # each class is named by its earliest node, so the roots in creation
-    # order are the cells in stored order
-    find = classes.find
+    D = X.trunc_dim if trunc_dim is None else trunc_dim
     cells = {k: [] for k in range(D + 1)}
-    label = {}  # root node -> its cell
-    node = 0
     for n in X.dims():
-        for x in X.cells[n]:
+        ends = ((0,) * n, (1,) * n)
+        interior = [
+            [s for s in _chains(n, k) if (s[0], s[-1]) == ends]
+            for k in range(D + 1)
+        ]
+        for x in X.nondeg(n):
             for k in range(D + 1):
-                for s in chains[n][k]:
-                    if find(node) == node:
-                        label[node] = (k, n, x, s)
-                        cells[k].append(label[node])
-                    node += 1
+                cells[k].extend((k, n, x, s) for s in interior[k])
 
     def image(key, g, cell):
         _, n, x, s = cell
-        a = g.source_dim
-        face = chain_at[n][a][tuple(s[v] for v in g.values)]
-        return label[find(
-            start[n] + X.cell_index(n, x) * block[n] + koff[n][a] + face)]
+        t = [s[v] for v in g.values]
+        free = [i for i in range(n) if t[0][i] != t[-1][i]]
+        face = CubeMorphism(len(free), tuple(
+            ("v", free.index(i) + 1) if i in free else ("c", t[0][i])
+            for i in range(n)))
+        r, rd, e = X.root(X.act(x, n, face), len(free))
+        return (g.source_dim, rd, r,
+                tuple(e.evaluate(tuple(p[i] for i in free)) for p in t))
 
     return _from_images("simplicial", D, cells, image)

@@ -400,6 +400,16 @@ def test_level_above_truncation_is_input_error(files, capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_k_max_below_one_is_input_error(capsys):
+    # k runs from 1 to --k-max, so --k-max 0 used to check nothing and
+    # still print "all identities hold"
+    code = cli.main(["verify-identities", "--k-max", "0", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: --k-max 0")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["geometric-product", "--x", "simplex.json", "--y", "simplex.json"],
      "error: geometric product requires cubical presheaves"),

@@ -133,19 +133,20 @@ def _oracle_product(X, Y, trunc_dim):
     return ps._from_images("cubical", trunc_dim, cells, image)
 
 
-def _oracle_triangulate(X):
-    D = X.trunc_dim
-    chains = {(n, k): pr._chains(n, k) for n in X.dims() for k in X.dims()}
+def _oracle_classes(X, D):
+    """Every (k, n, x, s) with x an n-cell of X and s a k-chain of [1]^n,
+    k <= D, in creation order, and the union-find classes of their
+    indices under the generator actions of X."""
+    chains = {(n, k): pr._chains(n, k) for n in X.dims() for k in range(D + 1)}
     order = {}
     for n in X.dims():
         for x in X.cells[n]:
             for k in range(D + 1):
                 for s in chains[(n, k)]:
                     order[(k, n, x, s)] = len(order)
-    nodes = list(order)
     classes = ps._UnionFind()
     for n in X.dims():
-        for key, g in st.CUBICAL.generators(n, D):
+        for key, g in st.CUBICAL.generators(n, X.trunc_dim):
             a = g.source_dim
             for x in X.cells[n]:
                 y = X.act_gen(key, n, x)
@@ -153,6 +154,12 @@ def _oracle_triangulate(X):
                     for s in chains[(a, k)]:
                         gs = tuple(g.evaluate(v) for v in s)
                         classes.union(order[(k, a, y, s)], order[(k, n, x, gs)])
+    return order, classes
+
+
+def _oracle_triangulate(X, D):
+    order, classes = _oracle_classes(X, D)
+    nodes = list(order)
     cells = {k: [] for k in range(D + 1)}
     for j, node in enumerate(nodes):
         if classes.find(j) == j:
@@ -172,10 +179,38 @@ def _oracle_inputs():
                ("cube", 0, None, None), ("cube", 1, None, None),
                ("cube", 2, None, None), ("cube", 3, None, None),
                ("boundary_cube", 2, None, None), ("open_box", 2, 1, 0)]]
+    out.append(ps.build_standard("cube", 0, trunc_dim=0).realized)
+    out += _degenerate_face_inputs()
     rng = random.Random(7)
     out += [ps.random_presheaf("cubical", rng.choice((1, 2)), rng,
                                max_nondeg=10) for _ in range(6)]
+    out += [ps.random_presheaf("cubical", 3, rng, max_nondeg=12)
+            for _ in range(2)]
     return out
+
+
+def _degenerate_face_inputs():
+    """The square with an edge collapsed to a vertex, and the 3-cube with
+    a face collapsed onto an edge by the max-connection: nondegenerate
+    cells with degenerate faces, which the quotients of standard cells
+    by vertex pairs never have."""
+    C = st.CubeMorphism
+    square = ps.build_standard("cube", 2, trunc_dim=2).realized
+    cube = ps.build_standard("cube", 3, trunc_dim=3).realized
+    edge_to_vertex = (1, C(1, (("c", 0), ("v", 1))),
+                      C(1, (("c", 0), ("c", 0))))
+    face_to_edge = (2, C(2, (("v", 1), ("v", 2), ("c", 0))),
+                    C(2, (("max", (("v", 1), ("v", 2))), ("c", 0), ("c", 0))))
+    return [ps.quotient(square, [edge_to_vertex])[0],
+            ps.quotient(cube, [face_to_edge])[0]]
+
+
+def _triangulation_cases():
+    """Each oracle input at its own truncation and at one below and one
+    above it."""
+    for X in _oracle_inputs():
+        for D in range(max(X.trunc_dim - 1, 0), X.trunc_dim + 2):
+            yield X, D
 
 
 def _same(A, B):
@@ -184,8 +219,25 @@ def _same(A, B):
 
 
 def test_triangulate_agrees_with_label_oracle():
-    for X in _oracle_inputs():
-        _same(pr.triangulate(X), _oracle_triangulate(X))
+    for X, D in _triangulation_cases():
+        T = pr.triangulate(X, D if D != X.trunc_dim else None)
+        _same(T, _oracle_triangulate(X, D))
+
+
+def test_every_gluing_class_has_one_normal_form():
+    """The normal-form lemma on the union-find colimit: the least node of
+    every class is a nondegenerate cell with a chain from 0...0 to 1...1,
+    and there are as many classes as such pairs."""
+    for X, D in _triangulation_cases():
+        order, classes = _oracle_classes(X, D)
+        nondeg = {n: set(X.nondeg(n)) for n in X.dims()}
+        normal = [
+            x in nondeg[n] and s[0] == (0,) * n and s[-1] == (1,) * n
+            for _, n, x, s in order
+        ]
+        least = [j for j in range(len(order)) if classes.find(j) == j]
+        assert all(normal[j] for j in least)
+        assert len(least) == sum(normal)
 
 
 def test_geometric_product_agrees_with_label_oracle():
