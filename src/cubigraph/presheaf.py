@@ -519,6 +519,22 @@ def _cell_signature(c):
     return s
 
 
+def _signature_classes(site_name, k):
+    """The distinct signatures (_cell_signature) of the site morphisms
+    j -> k, j = 0..k, in increasing order, listed without building a
+    hom-set.  A morphism splits as mono . epi (the split all_cube_morphisms
+    builds on), and an epi onto r slots (cube) or r + 1 values (simplex)
+    exists for every r <= j.  So every assignment of free, constant 0 or
+    constant 1 to the k slots of a cube map occurs (3^k classes), and
+    every nonempty set of values of a simplex map (2^(k+1) - 1)."""
+    if site_name == "simplicial":
+        return range(1, 1 << (k + 1))
+    sigs = [0]
+    for i in range(k):
+        sigs = [s | b for s in sigs for b in (0, 1 << 2 * i, 2 << 2 * i)]
+    return sorted(sigs)
+
+
 def _standard_keep(kind, k, i=None, eps=None):
     """Predicate on the signatures (_cell_signature) of the site morphisms
     into the standard k-cell: those that the standard cell of this kind

@@ -59,21 +59,30 @@ def _epi_index(m, r):
     return {e: i for i, e in enumerate(st.all_cube_epis(m, r))}
 
 
-@lru_cache(maxsize=None)
 def _face_splits(key, n, p, q):
     """Per epi e of all_cube_epis(n, p + q), in order, the split (m1, m2, j)
     of e . g, g the generator key acting on n-cells: e . g = (m1 (x) m2) .
-    epi, with epi the j-th of all_cube_epis(g.source_dim, r1 + r2).  A fact
-    of the cube category alone, so it is built once per process; equal face
-    parts are stored as one object."""
+    epi, with epi the j-th of all_cube_epis(g.source_dim, r1 + r2)."""
     g = dict(st.cube_generators(n, n + 1))[key]
-    faces = {}
     out = []
     for e in st.all_cube_epis(n, p + q):
         m1, m2, epi = _split_face(cube_compose(e, g), p)
-        out.append((faces.setdefault(m1, m1), faces.setdefault(m2, m2),
-                    _epi_index(g.source_dim, epi.target_dim)[epi]))
+        out.append((m1, m2, _epi_index(g.source_dim, epi.target_dim)[epi]))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _numbered_splits(key, n, p, q):
+    """_face_splits with its face parts numbered: (the distinct m1 and the
+    distinct m2, each in first-seen order, and per epi (number of m1,
+    number of m2, j)).  A fact of the cube category alone, so it is built
+    once per process, and a product call looks up the action of each
+    distinct face part once."""
+    lefts, rights, rows = {}, {}, []
+    for m1, m2, j in _face_splits(key, n, p, q):
+        rows.append((lefts.setdefault(m1, len(lefts)),
+                     rights.setdefault(m2, len(rights)), j))
+    return tuple(lefts), tuple(rights), tuple(rows)
 
 
 def _nondeg_roots(X, ids):
@@ -94,7 +103,7 @@ def geometric_product(X, Y, trunc_dim=None):
     (p, q), then x, y and e; a cell's index is computed from its block,
     the positions of x and y and the index of e.  The face splits of e . g
     are derived once per process per (generator g, n, p, q)
-    (_face_splits); blocks without a nondegenerate x or y are skipped.
+    (_numbered_splits); blocks without a nondegenerate x or y are skipped.
     The glued epi is derived once per call per (root epi ids, epi part)."""
     if X.site != "cubical" or Y.site != "cubical":
         raise ValueError("geometric product requires cubical presheaves")
@@ -139,11 +148,10 @@ def geometric_product(X, Y, trunc_dim=None):
             a = g.source_dim
             row = []
             for p, q in blocks[n]:
-                split = [
-                    (m1.source_dim, X._morphism_table(m1),
-                     m2.source_dim, Y._morphism_table(m2), j)
-                    for m1, m2, j in _face_splits(key, n, p, q)
-                ]
+                lefts, rights, rows = _numbered_splits(key, n, p, q)
+                on_x = [(m.source_dim, X._morphism_table(m)) for m in lefts]
+                on_y = [(m.source_dim, Y._morphism_table(m)) for m in rights]
+                split = [on_x[u] + on_y[v] + (j,) for u, v, j in rows]
                 for x in ndx[p]:
                     for y in ndy[q]:
                         for r1, t1, r2, t2, j in split:

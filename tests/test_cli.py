@@ -371,6 +371,22 @@ def test_json_reports_are_deterministic(files, capsys):
     assert out3 == out4
 
 
+def test_verify_identities_json_is_pinned(capsys):
+    # the digest of the earlier check, which walked every morphism j -> k,
+    # j <= k <= 6, instead of one signature per class
+    code, out = run(["verify-identities", "--n", "3", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("fbaa364da5e8")
+
+
+def test_verify_identities_reaches_k_7(capsys):
+    code, out = run(["verify-identities", "--n", "4", "--json"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert len(results) == 105
+    assert all(row["ok"] for row in results)
+
+
 def test_nerve_stats(files, capsys):
     code, out = run(
         ["nerve-stats", "--graph", files["c4.json"], "--dim", "1",

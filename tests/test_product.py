@@ -186,6 +186,27 @@ def _oracle_inputs():
                                max_nondeg=10) for _ in range(6)]
     out += [ps.random_presheaf("cubical", 3, rng, max_nondeg=12)
             for _ in range(2)]
+    out += _collapsed_draws(random.Random(11), 3)
+    return out
+
+
+def _collapsed_draws(rng, count):
+    """random_presheaf draws, each quotiented by identifying an edge of a
+    nondegenerate square with the degenerate edge on one of its ends, so
+    that the square's face roots at a non-identity epi.  random_presheaf
+    itself only identifies vertices, so none of its draws has such a
+    face."""
+    out = []
+    while len(out) < count:
+        X = ps.random_presheaf("cubical", 2, rng, max_nondeg=10)
+        faces = [key for key, _ in X.generators_at(2) if key[0] == "face"]
+        edges = [X.act_gen(key, 2, s) for s in X.nondeg(2) for key in faces]
+        edges = [e for e in edges if X.root(e, 1)[1] == 1]
+        if not edges:
+            continue
+        x = rng.choice(edges)
+        v = X.act_gen(("face", 1, rng.randint(0, 1)), 1, x)
+        out.append(ps.quotient(X, [(1, x, X.act_gen(("deg", 1), 0, v))])[0])
     return out
 
 
@@ -254,9 +275,10 @@ def test_geometric_product_agrees_with_label_oracle():
 
 
 def test_face_splits_match_the_uncached_split():
-    """The per-process split tables against _split_face of e . g computed
-    afresh, with the epi part read back through its index j, for every
-    generator acting on n-cells, n <= 5, and every block p + q <= n."""
+    """The split tables against _split_face of e . g computed afresh,
+    with the epi part read back through its index j, and the per-process
+    numbered tables against the split tables, for every generator acting
+    on n-cells, n <= 5, and every block p + q <= n."""
     for n in range(6):
         for key, g in st.cube_generators(n, n + 1):
             for p in range(n + 1):
@@ -264,6 +286,11 @@ def test_face_splits_match_the_uncached_split():
                     epis = st.all_cube_epis(n, p + q)
                     splits = pr._face_splits(key, n, p, q)
                     assert len(splits) == len(epis)
+                    lefts, rights, rows = pr._numbered_splits(key, n, p, q)
+                    assert len(set(lefts)) == len(lefts)
+                    assert len(set(rights)) == len(rights)
+                    assert [(lefts[a], rights[b], j) for a, b, j in rows] \
+                        == list(splits)
                     for e, (m1, m2, j) in zip(epis, splits):
                         eg = st.cube_compose(e, g)
                         epi = st.all_cube_epis(

@@ -49,6 +49,48 @@ def test_set_level_skeleton_agrees_with_skeleton(site):
                 } == {j: set(S.cells[j]) for j in S.dims()}, (kind, k, i, eps, m)
 
 
+def _walked_signatures(site, k):
+    """The oracle of _signature_classes: the sorted distinct signatures of
+    a walk over every morphism j -> k, j = 0..k."""
+    ops = st.site_ops(site)
+    return sorted({ps._cell_signature(c) for j in range(k + 1)
+                   for c in ops.all_morphisms(j, k)})
+
+
+def _check_signature_classes(site, classes_of):
+    for k in range(6):
+        assert list(classes_of(site, k)) == _walked_signatures(site, k), k
+
+
+@pytest.mark.parametrize("site", ["cubical", "simplicial"])
+def test_signature_classes_are_the_walked_signatures(site):
+    _check_signature_classes(site, ps._signature_classes)
+    counts = [len(ps._signature_classes(site, k)) for k in range(6)]
+    if site == "cubical":
+        assert counts == [3 ** k for k in range(6)]
+    else:
+        assert counts == [2 ** (k + 1) - 1 for k in range(6)]
+
+
+@pytest.mark.parametrize("site", ["cubical", "simplicial"])
+@pytest.mark.parametrize("fault", ["missing", "extra"])
+def test_signature_class_check_can_fail(site, fault):
+    """A class list without the all-constant pattern (every slot constant
+    0, or the single value 0), or with one pattern that no morphism has
+    (a slot constant at both ends, or no value), fails the check."""
+    def classes_of(site, k):
+        out = list(ps._signature_classes(site, k))
+        if fault == "missing":
+            out.remove(sum(1 << 2 * i for i in range(k))
+                       if site == "cubical" else 1)
+        else:
+            out.append(0b11 if site == "cubical" else 0)
+        return out
+
+    with pytest.raises(AssertionError):
+        _check_signature_classes(site, classes_of)
+
+
 # the set-of-morphisms identity check, kept as the oracle of the
 # signature-based one
 
