@@ -23,6 +23,15 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
+# the exit code of each verdict a bounded report may carry; every other
+# verdict (inconclusive, or a budget run out) exits with EXIT_BUDGET
+_VERDICT_EXIT = {
+    "yes": EXIT_OK,
+    "yes_on_tested_range": EXIT_OK,
+    "no_exhausted": EXIT_NEGATIVE,
+    "counterexample": EXIT_NEGATIVE,
+}
+
 
 @dataclass
 class RunConfig:
@@ -326,11 +335,7 @@ def cmd_paths_homotopic(args, cfg):
          "layers": report.layers, "explored": report.explored},
         args.json,
     )
-    if report.verdict == "yes":
-        return EXIT_OK
-    if report.verdict == "no_exhausted":
-        return EXIT_NEGATIVE
-    return EXIT_BUDGET
+    return _VERDICT_EXIT.get(report.verdict, EXIT_BUDGET)
 
 
 def cmd_check_graph_fibration(args, cfg):
@@ -355,11 +360,7 @@ def cmd_check_graph_fibration(args, cfg):
         {"lines": lines, "verdict": report.verdict, "detail": report.detail},
         args.json,
     )
-    if report.verdict == "yes_on_tested_range":
-        return EXIT_OK
-    if report.verdict == "counterexample":
-        return EXIT_NEGATIVE
-    return EXIT_BUDGET
+    return _VERDICT_EXIT.get(report.verdict, EXIT_BUDGET)
 
 
 def cmd_psi_check(args, cfg):
@@ -376,7 +377,7 @@ def cmd_psi_check(args, cfg):
         f, g,
         samples=args.samples,
         seed=args.seed if args.seed is not None else cfg.seed,
-        max_support=args.support if args.support is not None else 8,
+        max_support=args.support,
         max_steps=(args.max_steps if args.max_steps is not None
                    else cfg.max_steps),
     )
@@ -558,7 +559,7 @@ def _build_parser():
         "psi-check", cmd_psi_check,
         f={"required": True}, g={"required": True},
         samples={"type": _count, "default": 5},
-        support={"type": _count, "default": None},
+        support={"type": _count, "default": 8},
         max_steps={"type": _count, "default": None},
         seed={"type": int, "default": None},
     )

@@ -6,9 +6,10 @@ path-homotopy square are all such labelings.  `_labelings` enumerates them
 by arc-consistency over int-bitmask domains, `_restart_labelings` finds one
 by randomized restarts (a completed attempt without a solution certifies
 that there is none), and `_cycle_filler` decides extensions into a cycle
-exactly.  Search steps are charged to the caller's `nerve.Budget`.  Every
-name is private and no public function of another layer is called, so the
-bench tracer counts this work toward the calling layer.
+exactly.  Search steps are charged to the caller's `nerve.Budget`.  The
+module imports no other cubigraph module, every name is private, and no
+public function of another layer is called, so the bench tracer counts
+this work toward the calling layer.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import itertools
 import random
 from functools import lru_cache
 from operator import itemgetter
-
-from .graphs import _bfs
 
 
 class BudgetExceeded(Exception):
@@ -82,13 +81,8 @@ def _clamp_map(k, Ms, M):
 
 @lru_cache(maxsize=128)
 def _shape(points):
-    """Compiled tables of a sorted point tuple with box adjacency.
-
-    Returns the point index, the neighbour lists, and the all-pairs grid
-    distances as ball masks over the points: balls[j][r] has bit i set
-    when point i is within grid distance r of point j, for r up to j's
-    eccentricity (the last ball is j's component).
-    """
+    """Compiled tables of a sorted point tuple with box adjacency: the
+    point index, and the neighbour lists by index."""
     index = {t: j for j, t in enumerate(points)}
     nbrs = [[] for _ in points]
     for j, t in enumerate(points):
@@ -97,15 +91,7 @@ def _shape(points):
                 s = t[:axis] + (t[axis] + dlt,) + t[axis + 1:]
                 if s in index:
                     nbrs[j].append(index[s])
-    balls = []
-    for j in range(len(points)):
-        ball = [0]
-        for i, _, d in _bfs(j, nbrs.__getitem__):
-            if d == len(ball):
-                ball.append(ball[-1])
-            ball[d] |= 1 << i
-        balls.append(ball)
-    return index, nbrs, balls
+    return index, nbrs
 
 
 def _bits(mask):
@@ -123,23 +109,18 @@ def _graph_bits(X):
 
     Bit j stands for the j-th vertex in repr order, so the bits of a
     domain in increasing order list it as sorted(domain, key=repr) would.
-    Returns the vertices in bit order, vertex -> bit, and two tables keyed
-    by a vertex w's bit: closed[w], its closed-neighbourhood mask, and
-    far[w], a (bit of v, dist(v, w) - 1) pair for each vertex v != w, with
-    -1 when w cannot reach v.
+    Returns the vertices in bit order, vertex -> bit, and closed, which
+    maps a vertex's bit to its closed-neighbourhood mask.
     """
     verts = sorted(X.vertices, key=repr)
     bit = {v: 1 << j for j, v in enumerate(verts)}
     closed = {}
-    far = {}
     for w in verts:
         b = bit[w]
         for u in X.adj[w]:
             b |= bit[u]
         closed[bit[w]] = b
-        radius = {v: d - 1 for v, _, d in _bfs(w, X.adj.__getitem__)}
-        far[bit[w]] = [(bit[v], radius.get(v, -1)) for v in verts if v != w]
-    return verts, bit, closed, far
+    return verts, bit, closed
 
 
 def _labelings(X, points, allowed=None, rng=None, limit=None, budget=None):
@@ -151,10 +132,18 @@ def _labelings(X, points, allowed=None, rng=None, limit=None, budget=None):
     single vertex freezes the point); rng shuffles value order (sampling);
     limit caps the number of results; budget caps search steps.  Domains
     are int bitmasks over the graph's vertices (see _graph_bits).
+
+    Arc consistency alone bounds every value by graph distance: along a
+    shortest grid path from a point with one value w, each step keeps only
+    values adjacent to some value of the step before, so a point d steps
+    away keeps only values within graph distance d of w.  AC-3 reaches the
+    greatest arc-consistent sub-domains whatever its queue order
+    (Mackworth, 1977), so no distance pass ahead of it would change the
+    domains the search starts from.
     """
     points = tuple(sorted(points))
-    _, nbrs, grid_balls = _shape(points)
-    verts, bit, closed, far = _graph_bits(X)
+    _, nbrs = _shape(points)
+    verts, bit, closed = _graph_bits(X)
     n = len(points)
     full = (1 << len(verts)) - 1
     domains = []
@@ -166,32 +155,6 @@ def _labelings(X, points, allowed=None, rng=None, limit=None, budget=None):
         else:
             dom = full
         domains.append(dom)
-
-    # distance pruning: a labeling is a graph map from the (reflexive)
-    # point grid, so it contracts distances -- a point at grid distance d
-    # from a decided point j can only take values within graph distance d
-    # of j's value w.  So v is ruled out on the grid ball around j of
-    # radius dist(v, w) - 1, and on all of j's component when w cannot
-    # reach v (index -1 picks the last ball).  A domain emptied on a point
-    # some decided point reaches leaves no labeling.
-    singles = [j for j in range(n) if domains[j].bit_count() == 1]
-    if singles and len(singles) < n:
-        ruled_out = dict.fromkeys(bit.values(), 0)
-        reach = 0
-        for j in singles:
-            around = grid_balls[j]
-            top = len(around) - 1
-            reach |= around[top]
-            for b, r in far[domains[j]]:
-                ruled_out[b] |= around[min(r, top)]
-        for i in range(n):
-            dom = domains[i]
-            for low in _bits(dom):
-                if ruled_out[low] >> i & 1:
-                    dom ^= low
-            if not dom and reach >> i & 1:
-                return []
-            domains[i] = dom
 
     def propagate(queue, trail):
         """AC-3 from the queued point indices; records removed masks on
@@ -338,7 +301,7 @@ def _cycle_filler(order, points, frozen):
     n = len(order)
     pos = {v: j for j, v in enumerate(order)}
     points = tuple(sorted(points))
-    index, nbrs, _ = _shape(points)
+    index, nbrs = _shape(points)
     froz = sorted(frozen)
     if not froz:
         return "labeling", {t: order[0] for t in points}

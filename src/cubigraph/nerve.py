@@ -118,7 +118,7 @@ def constant_cube(k, vertex):
 @lru_cache(maxsize=64)
 def _grid_edges(k, M):
     """The box-adjacent index pairs (a, b), a < b, of _grid(M, k)."""
-    _, nbrs, _ = _shape(tuple(_grid(M, k)))
+    _, nbrs = _shape(tuple(_grid(M, k)))
     return tuple((a, b) for a, ns in enumerate(nbrs) for b in ns if a < b)
 
 
@@ -211,18 +211,15 @@ def _filler_table(k, i, eps, M, slack, into_boundary):
     """
     Ms = M + slack
     region = set(_box_region(k, i, eps, Ms))
-    points = _boundary_points(k, Ms) if into_boundary else _grid(Ms, k)
+    points = _boundary_points(k, Ms) if into_boundary else tuple(_grid(Ms, k))
+    index, nbrs = _shape(points)
     free = tuple(t for t in points if t not in region)
-    on_box = []
-    for t in free:
-        near = set()
-        for axis in range(k):
-            for dlt in (-1, 1):
-                s = t[:axis] + (t[axis] + dlt,) + t[axis + 1:]
-                if s in region:
-                    near.add(_clamp(s, M))
-        on_box.append(tuple(sorted(near)))
-    return free, tuple(_clamp(t, M) for t in free), tuple(on_box)
+    on_box = tuple(
+        tuple(sorted({_clamp(points[j], M) for j in nbrs[index[t]]
+                      if points[j] in region}))
+        for t in free
+    )
+    return free, tuple(_clamp(t, M) for t in free), on_box
 
 
 class FibrationReport:

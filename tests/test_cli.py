@@ -339,13 +339,13 @@ def test_each_command_imports_only_its_modules(files, tmp_path):
     assert "cubigraph.nerve" not in loaded
     assert "cubigraph.presheaf" not in loaded
 
-    # the labeling search needs no layer but graphs
+    # the labeling search needs no other layer
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, cubigraph.grid; print(*sorted(sys.modules))"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     loaded = [m for m in proc.stdout.split() if m.startswith("cubigraph.")]
-    assert loaded == ["cubigraph.graphs", "cubigraph.grid"]
+    assert loaded == ["cubigraph.grid"]
 
     # no module reaches into nerve's private names
     private = []

@@ -1,5 +1,6 @@
-"""The grid labeling search: distance pruning, the bitmask search against
-a product oracle and the full-scan search, and the exact cycle filler."""
+"""The grid labeling search: empty and distance-contradicting domains, the
+bitmask search against a product oracle and the full-scan search with and
+without the distance pre-pass, and the exact cycle filler."""
 
 import functools
 import itertools
@@ -14,15 +15,15 @@ from cubigraph import nerve as nv
 
 
 def test_distance_pruning_decides_before_search():
-    # no labeling, and none of the budget spent: an empty domain a decided
-    # point reaches, and two decided points farther apart in the graph
-    # than in the grid
+    # no labeling: an empty domain a decided point reaches, and two decided
+    # points farther apart in the graph than in the grid; arc consistency
+    # finds both
     I2 = gr.interval(2)
     points = gd._grid(1, 1)
     assert gd._labelings(I2, points, {(-1,): {0}, (1,): set()},
-                         budget=nv.Budget(0)) == []
+                         budget=nv.Budget(10**6)) == []
     assert gd._labelings(I2, points, {(-1,): {0}, (0,): {2}},
-                         budget=nv.Budget(0)) == []
+                         budget=nv.Budget(10**6)) == []
 
 
 def test_cycle_filler_agrees_with_exhaustive_search():
@@ -175,9 +176,10 @@ def test_labelings_agree_with_product_oracle():
 
 
 def _full_scan_labelings(X, points, frozen, allowed=None, rng=None,
-                         limit=None, budget=None):
+                         limit=None, budget=None, prune=False):
     """Oracle: grid._labelings as it was before the live-point scan, its
-    minimum-remaining-values step scanning every point's domain.
+    minimum-remaining-values step scanning every point's domain, and with
+    prune the distance pre-pass it once ran ahead of arc consistency.
 
     Graph-map labelings of a point set with box adjacency.
 
@@ -189,8 +191,8 @@ def _full_scan_labelings(X, points, frozen, allowed=None, rng=None,
     are int bitmasks over the graph's vertices (see _graph_bits).
     """
     points = tuple(sorted(points))
-    _, nbrs, grid_balls = gd._shape(points)
-    verts, bit, closed, far = gd._graph_bits(X)
+    _, nbrs = gd._shape(points)
+    verts, bit, closed = gd._graph_bits(X)
     n = len(points)
     full = (1 << len(verts)) - 1
     domains = []
@@ -213,15 +215,24 @@ def _full_scan_labelings(X, points, frozen, allowed=None, rng=None,
     # reach v (index -1 picks the last ball).  A domain emptied on a point
     # some decided point reaches leaves no labeling.
     singles = [j for j in range(n) if domains[j].bit_count() == 1]
-    if singles and len(singles) < n:
+    if prune and singles and len(singles) < n:
         ruled_out = dict.fromkeys(bit.values(), 0)
         reach = 0
         for j in singles:
-            around = grid_balls[j]
+            # around[r] has bit i set when point i is within grid distance
+            # r of point j, for r up to j's eccentricity
+            around = [0]
+            for i, _, d in gr._bfs(j, nbrs.__getitem__):
+                if d == len(around):
+                    around.append(around[-1])
+                around[d] |= 1 << i
             top = len(around) - 1
             reach |= around[top]
-            for b, r in far[domains[j]]:
-                ruled_out[b] |= around[min(r, top)]
+            w = verts[domains[j].bit_length() - 1]
+            radius = {v: d - 1 for v, _, d in gr._bfs(w, X.adj.__getitem__)}
+            for v in verts:
+                if v != w:
+                    ruled_out[bit[v]] |= around[min(radius.get(v, -1), top)]
         for i in range(n):
             dom = domains[i]
             for low in gd._bits(dom):
@@ -305,10 +316,11 @@ def _full_scan_labelings(X, points, frozen, allowed=None, rng=None,
 
 def test_live_point_scan_matches_the_full_scan():
     """_labelings branches only on the points left with two or more values
-    after the first propagation; on _product_oracle_problems it returns the
-    same list and spends the same budget as the full scan, with and
-    without a value-order rng and a result limit, and a budget cut to
-    half the spend runs out at the same step."""
+    after the first propagation, and runs no distance pass ahead of it.
+    On _product_oracle_problems it returns the same list as the full scan
+    with and without that pass, and spends the same budget as the full
+    scan without it, with and without a value-order rng and a result
+    limit; a budget cut to half the spend runs out at the same step."""
     cases = cuts = 0
     for X, points, frozen, allowed, trial in _product_oracle_problems():
         searches = (
@@ -316,6 +328,8 @@ def test_live_point_scan_matches_the_full_scan():
                               _domains(frozen, allowed)),
             functools.partial(_full_scan_labelings, X, points, frozen,
                               allowed),
+            functools.partial(_full_scan_labelings, X, points, frozen,
+                              allowed, prune=True),
         )
         for seed, limit in ((None, None), (None, 1), (trial, 1)):
             runs = []
@@ -324,13 +338,16 @@ def test_live_point_scan_matches_the_full_scan():
                 rng = None if seed is None else random.Random(seed)
                 got = search(rng=rng, limit=limit, budget=budget)
                 runs.append((got, budget.left))
-            assert runs[0] == runs[1], (X, points, frozen, allowed)
+            lists = [got for got, _ in runs]
+            assert lists[0] == lists[1] == lists[2], (X, points, frozen,
+                                                      allowed)
+            assert runs[0][1] == runs[1][1], (X, points, frozen, allowed)
             cases += 1
             spent = 10 ** 6 - runs[0][1]
             if spent < 2:
                 continue
             lefts = []
-            for search in searches:
+            for search in searches[:2]:
                 budget = nv.Budget(spent // 2)
                 rng = None if seed is None else random.Random(seed)
                 with pytest.raises(gd.BudgetExceeded):

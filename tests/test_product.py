@@ -157,8 +157,9 @@ def _oracle_classes(X, D):
     return order, classes
 
 
-def _oracle_triangulate(X, D):
-    order, classes = _oracle_classes(X, D)
+def _oracle_triangulate(X, D, order, classes):
+    """The simplicial presheaf of the classes of _oracle_classes(X, D),
+    each named by its least node."""
     nodes = list(order)
     cells = {k: [] for k in range(D + 1)}
     for j, node in enumerate(nodes):
@@ -239,18 +240,24 @@ def _same(A, B):
     assert A.cells == B.cells
 
 
-def test_triangulate_agrees_with_label_oracle():
-    for X, D in _triangulation_cases():
+@pytest.fixture(scope="module")
+def oracle_classes():
+    """(X, D, order, classes) for each of _triangulation_cases(), with
+    _oracle_classes(X, D) built once for the two tests that read it."""
+    return [(X, D, *_oracle_classes(X, D)) for X, D in _triangulation_cases()]
+
+
+def test_triangulate_agrees_with_label_oracle(oracle_classes):
+    for X, D, order, classes in oracle_classes:
         T = pr.triangulate(X, D if D != X.trunc_dim else None)
-        _same(T, _oracle_triangulate(X, D))
+        _same(T, _oracle_triangulate(X, D, order, classes))
 
 
-def test_every_gluing_class_has_one_normal_form():
+def test_every_gluing_class_has_one_normal_form(oracle_classes):
     """The normal-form lemma on the union-find colimit: the least node of
     every class is a nondegenerate cell with a chain from 0...0 to 1...1,
     and there are as many classes as such pairs."""
-    for X, D in _triangulation_cases():
-        order, classes = _oracle_classes(X, D)
+    for X, D, order, classes in oracle_classes:
         nondeg = {n: set(X.nondeg(n)) for n in X.dims()}
         normal = [
             x in nondeg[n] and s[0] == (0,) * n and s[-1] == (1,) * n
