@@ -14,7 +14,11 @@ The search runs on integer vertex ids (a vertex's stored position): the
 graph's closed neighbourhoods, as id lists and as bitmasks, are built once
 per search.  Each popped word gets one step table, a row of shift
 masks per position indexed by id, and both the goal test and the step
-enumeration read that one table, so one rule defines a step.
+enumeration read that one table, so one rule defines a step.  Under one
+shift, the step words below a prefix depend only on the prefix and on
+the window of the popped word that its later positions face, so a search
+records each (prefix, window) pair it has walked and no later step
+enumeration walks that subtree again.
 
 The fundamental groupoid is presented per component by a spanning tree:
 generators are the non-tree edges, relators come from the 3- and 4-cycles
@@ -29,7 +33,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graphs import Graph, GraphMap, _bfs, pullback, pi0
 from .grid import BudgetExceeded, _restart_labelings
@@ -101,21 +104,6 @@ def _clamp(i, n):
     return 0 if i < 0 else n - 1 if i >= n else i
 
 
-@lru_cache(maxsize=256)
-def _shift_rows(n, top):
-    """Per position i < top, the pairs (j, bits) for a word of length n:
-    bit k of bits is set when shift s = k + 1 - top puts word[j],
-    j = clamp(i - s), opposite position i.  Only shifts s >= i + 1 - top
-    count, since a word through position i has length at least i + 1."""
-    rows = []
-    for i in range(top):
-        by_pos = [0] * n
-        for k in range(i, 2 * top - n):
-            by_pos[_clamp(i - (k + 1 - top), n)] |= 1 << k
-        rows.append(tuple((j, bits) for j, bits in enumerate(by_pos) if bits))
-    return tuple(rows)
-
-
 def _vertex_ids(graph):
     """Id tables of a graph; a vertex's id is its stored position.
     Returns the vertices by id, vertex -> id, and three tables by id: the
@@ -129,25 +117,6 @@ def _vertex_ids(graph):
     masks = [sum(1 << u for u in ids) for ids in close]
     down = [sorted(ids, key=verts.__getitem__, reverse=True) for ids in close]
     return verts, index, close, masks, down
-
-
-def _completions(graph, x, y, top):
-    """more[j][v]: the number of trimmed x -> y words of length <= top
-    (consecutive vertices adjacent or equal, w[1] != x, w[-2] != y) that
-    go on past v at position j, counted for one prefix ending there; so a
-    prefix P of length m >= 2 begins (P[-1] == y and P[-2] != y)
-    + more[m - 1][P[-1]] such words."""
-    later = dict.fromkeys(graph.vertices, 0)
-    more = [later]
-    for _ in range(top - 1):
-        later = {
-            v: later[v] + sum(later[u] for u in graph.adj[v])
-            + (v != y and y in graph.adj[v])
-            for v in graph.vertices
-        }
-        more.append(later)
-    more.reverse()
-    return more
 
 
 def _step_table(ids, word, top):
@@ -189,13 +158,14 @@ def _step_table(ids, word, top):
     front = every if h == n else every >> (top - 1 - h) << (top - 1 - h)
     tail = [every if g == 0 else (1 << min(span, m + top - g)) - 1
             for m in range(top + 1)]
-    rows = []
-    for shifts in _shift_rows(n, top):
-        row = [0] * len(close)
-        for j, bits in shifts:
-            for v in close[w[j]]:
-                row[v] |= bits
-        rows.append(row)
+    # position 0 faces word[clamp(top - 1 - k)] under bit k; position i
+    # faces under bit k what position 0 faces under bit k - i, and bits
+    # k < i are shifts too short for a word through position i
+    first = [0] * len(close)
+    for k in range(span):
+        for v in close[w[_clamp(top - 1 - k, n)]]:
+            first[v] |= 1 << k
+    rows = [[bits << i & every for bits in first] for i in range(top)]
     if top > 1:
         rows[1][x] = 0
     later = [0] * len(close)
@@ -211,7 +181,7 @@ def _step_table(ids, word, top):
     return ids, w, front, tail, rows
 
 
-def _step_words(graph, word, max_support, _admitted=None, _table=None):
+def _step_words(graph, word, max_support, _exhausted=None, _table=None):
     """The trimmed words one homotopy step from the given one, ascending.
 
     The step relation is the one of _step_table with top = max_support + 1.
@@ -222,24 +192,42 @@ def _step_words(graph, word, max_support, _admitted=None, _table=None):
     the preorder is ascending tuple order and each neighbour is yielded
     once, in sorted order.
 
-    _admitted, a pair (seen, more) from path_homotopic_bounded, skips each
-    child prefix P with seen[code(P)] equal to its count of trimmed words
-    (more[m][v] for P ending in v at position m, by id; see _completions):
-    every word of that subtree is already admitted, and cutting whole
-    subtrees out of an ascending preorder leaves the other words yielded
-    in the same order.  code(P) reads the ids of P plus one as digits in
-    bijective base |V| + 1, so prefixes of different lengths never share
-    a code.  _table is the word's step table, when the caller has it.
+    _exhausted, a dict that path_homotopic_bounded keeps for one search,
+    holds the subtrees already walked.  Under shift s the words below a
+    prefix P of length m depend only on P and on its window, the vertices
+    word[clamp(i - s)] that positions m <= i < top + min(s, 0) face: with
+    j = m - s, that is -j copies of the start (if j < 0), then
+    word[max(j, 0):] and end repeats, top - m - d in all, d = max(j - m, 0).
+    A shorter window only cuts words off, so the dict maps (P, the window's
+    vertices) to the least d walked.  Each child P with 1 < m < top drops
+    its live shifts whose pair maps to d or less, records the others, and
+    is skipped when no shift is left.  This is exact only because the
+    caller drains the generator and admits every word it yields: then
+    every word below a recorded pair is admitted, and cutting such
+    subtrees out of an ascending preorder leaves the fresh words in the
+    same order.  A pair's key is code(P) + cap * ((top + 1) *
+    code(reversed(word[clamp(j):])) + top + min(j, 0)), where code reads
+    ids plus one as digits in bijective base |V| + 1 and cap = base ** top
+    exceeds every code(P).  _table is the word's step table, when the
+    caller has it.
     """
     top = max_support + 1
     ids, w, front, tail, rows = _table or _step_table(
         _vertex_ids(graph), word, top)
     verts, _, _, _, down = ids
     x, y = w[0], w[-1]
-    base = len(verts) + 1
-    # with nothing admitted, every child is entered
-    seen, more = _admitted or ({}, [[0] * len(verts)] * top)
-    admitted = seen.get
+    n, base = len(w), len(verts) + 1
+    marked = _exhausted is not None
+    if marked:
+        cap, back = base ** top, [y + 1]
+        for v in reversed(w[:-1]):
+            back.append(back[-1] * base + v + 1)
+        back = [cap * ((top + 1) * c + top) for c in reversed(back)]
+        # bit k - 1 of a child of length m has j = m + top - k, window key
+        # near[j + top] and d = max(top - k, 0)
+        near = ([back[0] + cap * j for j in range(-top, 0)] + back
+                + [back[-1]] * (2 * top - n))
+        walked = _exhausted.get
     prefix = [x] * top
     stack = [(0, x, x + 1, front & rows[0][x])]
     push = stack.append
@@ -252,14 +240,23 @@ def _step_words(graph, word, max_support, _admitted=None, _table=None):
             yield tuple([verts[v] for v in prefix[:m]])
         if m == top:
             continue
-        row, words = rows[m], more[m]
-        code *= base
+        row, code, at = rows[m], code * base, m + 1 + 2 * top
+        check = marked and m + 1 < top
         for v in down[last]:
             bits = live & row[v]
             if bits:
-                child = code + v + 1
-                if admitted(child) != (
-                        words[v] + (v == y and last != y)):
+                child, rest = code + v + 1, bits if check else 0
+                while rest:
+                    low = rest & -rest
+                    k = low.bit_length()
+                    key = child + near[at - k]
+                    d = top - k if k < top else 0
+                    if walked(key, top) <= d:
+                        bits ^= low
+                    else:
+                        _exhausted[key] = d
+                    rest ^= low
+                if bits:
                     push((m, v, child, bits))
 
 
@@ -293,17 +290,17 @@ def path_homotopic_bounded(p, q, max_support=None, max_steps=20000):
     max_support caps the window length (number of steps) of every
     intermediate path; max_steps caps the number of explored words.
     no_exhausted is reported only when the entire reachable set within
-    max_support was visited without meeting q.  Words already admitted are
-    not enumerated again: each step enumeration skips the prefixes all of
-    whose trimmed words are admitted, which leaves the search, its
-    explored count and its layers unchanged.
+    max_support was visited without meeting q.
 
     The search runs on integer vertex ids: the graph's id tables
-    (_vertex_ids) and the completion counts, as lists by id, are built
-    once per search, and the admitted prefixes are counted by their int
-    codes.  Each popped word's step table is built
-    once, and both the goal test (_one_step) and the step enumeration
-    (_step_words) read it.
+    (_vertex_ids) are built once per search.  Each popped word's step
+    table is built once, and both the goal test (_one_step) and the step
+    enumeration (_step_words) read it.  One dict of walked (prefix,
+    window) pairs lives for the whole search, so no enumeration walks a
+    subtree whose words an earlier one already yielded.  That is sound
+    because this loop drains every enumeration and admits every word it
+    yields; the fresh words, the explored count and the layers are those
+    of the search that enumerates every step word.
     """
     if p.graph is not q.graph and p.graph.vertices != q.graph.vertices:
         raise ValueError("paths live in different graphs")
@@ -318,17 +315,10 @@ def path_homotopic_bounded(p, q, max_support=None, max_steps=20000):
     graph = p.graph
     top = max_support + 1
     ids = _vertex_ids(graph)
-    verts, index = ids[0], ids[1]
-    base = len(verts) + 1
     parent = {p.word: None}
     frontier = deque([p.word])
     explored = 0
-    # seen[code(P)]: the admitted words with prefix P, len(P) >= 2; the
-    # words in fresh are counted only before the next step enumeration, so
-    # a search that ends on its next pop never pays for them
-    seen, fresh = {}, [p.word]
-    more = [[row[v] for v in verts]
-            for row in _completions(graph, p.start, p.end, top)]
+    exhausted = {}
     while frontier:
         cur = frontier.popleft()
         explored += 1
@@ -343,17 +333,10 @@ def path_homotopic_bounded(p, q, max_support=None, max_steps=20000):
                 layers.append(parent[layers[-1]])
             layers.reverse()
             return HomotopyReport("yes", layers, explored)
-        for w in fresh:
-            code = index[w[0]] + 1
-            for v in w[1:]:
-                code = code * base + index[v] + 1
-                seen[code] = seen.get(code, 0) + 1
-        fresh = []
-        for nxt in _step_words(graph, cur, max_support, (seen, more), table):
+        for nxt in _step_words(graph, cur, max_support, exhausted, table):
             if nxt not in parent:
                 parent[nxt] = cur
                 frontier.append(nxt)
-                fresh.append(nxt)
     return HomotopyReport("no_exhausted", None, explored)
 
 

@@ -714,33 +714,87 @@ def test_steps_and_search_follow_vertex_value_not_stored_order():
                           (0, 1, 0), (0,)]
 
 
-def test_completion_counts_agree_with_enumeration():
-    rng = random.Random(5)
-    I1 = gr.interval(1)
-    graphs = [gr.cycle(4), gr.cycle(5), gr.box_product(I1, I1),
-              gr.Graph(range(5), [(u, v) for u in range(5)
-                                  for v in range(u + 1, 5)
-                                  if rng.random() < 0.5])]
-    for G, top in itertools.product(graphs, (1, 2, 3, 5)):
-        for x, y in itertools.product(G.vertices, repeat=2):
-            # every walk from x of length <= top that does not repeat x
-            # at once, and how many trimmed x -> y words each begins
-            walks, stack = [], [(x,)]
-            while stack:
-                walk = stack.pop()
-                walks.append(walk)
-                if len(walk) < top:
-                    stack.extend(walk + (v,) for v in G.neighbors(walk[-1])
-                                 if len(walk) > 1 or v != x)
-            begun = Counter(
-                walk[:m] for walk in walks
-                if walk[-1] == y and (len(walk) == 1 or walk[-2] != y)
-                for m in range(2, len(walk) + 1))
-            more = pi1._completions(G, x, y, top)
-            for walk in walks[1:]:
-                m = len(walk)
-                ends = walk[-1] == y and walk[-2] != y
-                assert ends + more[m - 1][walk[-1]] == begun[walk], walk
+def test_step_relation_is_symmetric():
+    # a word is one step from each of its step words, and a word that is
+    # not a step word of a is not one step from a either way
+    rng = random.Random(7)
+    steps = 0
+    for G in _step_test_graphs(rng):
+        for _ in range(8):
+            a = pi1._trim(_random_walk(
+                rng, G, rng.choice(G.vertices), rng.randint(0, 5)))
+            support = len(a) - 1 + rng.randint(0, 3)
+            others = set()
+            for _ in range(12):
+                walk = _random_walk(rng, G, a[0], rng.randint(0, support))
+                if walk[-1] == a[-1] and len(pi1._trim(walk)) <= support + 1:
+                    others.add(pi1._trim(walk))
+            for b in pi1._step_words(G, a, support):
+                assert pi1._one_step(G, b, a, support), (a, b)
+                steps += 1
+            for b in others:
+                assert (pi1._one_step(G, a, b, support)
+                        == pi1._one_step(G, b, a, support)), (a, b)
+    assert steps > 1000, steps
+
+
+def _admission_order(graph, word, max_support, exhausted):
+    """(word, parent) for every word reachable from word within the
+    support, in the order the breadth-first search of
+    path_homotopic_bounded admits them, with exhausted passed on to
+    _step_words (None: every step word is enumerated)."""
+    top = max_support + 1
+    ids = pi1._vertex_ids(graph)
+    parent, frontier = {word: None}, deque([word])
+    while frontier:
+        cur = frontier.popleft()
+        table = pi1._step_table(ids, cur, top)
+        for nxt in pi1._step_words(graph, cur, max_support, exhausted, table):
+            if nxt not in parent:
+                parent[nxt] = cur
+                frontier.append(nxt)
+    return list(parent.items())
+
+
+def test_exhausted_windows_keep_the_admission_order():
+    # the memo cuts only subtrees that hold no fresh word, so every word
+    # is admitted in the same order and from the same parent.  A key that
+    # dropped the window, read it one position off or left out its length
+    # (how many positions a negative shift leaves) reorders these
+    C4, C5 = gr.cycle(4), gr.cycle(5)
+    cases = [(C4, (3, 2, 1, 2, 1), 4), (C4, (3, 0, 1, 1, 2), 7),
+             (C5, (4, 3, 4, 0, 4, 3), 6), (C5, (0, 1, 2), 7)]
+    rng = random.Random(8)
+    for G in _step_test_graphs(rng):
+        word = pi1._trim(_random_walk(
+            rng, G, rng.choice(G.vertices), rng.randint(0, 5)))
+        cases.append((G, word, len(word) - 1 + rng.randint(0, 2)))
+    for G, word, support in cases:
+        assert (_admission_order(G, word, support, {})
+                == _admission_order(G, word, support, None)), (word, support)
+
+
+def test_step_word_yields_are_pinned(monkeypatch):
+    # how many words _step_words hands the search; the completion-count
+    # skip that the exhausted-window memo replaced yielded 11,017 and 4,972
+    step_words, yields = pi1._step_words, Counter()
+
+    def counted(*args):
+        for nxt in step_words(*args):
+            yields["all"] += 1
+            yield nxt
+
+    monkeypatch.setattr(pi1, "_step_words", counted)
+    C5 = gr.cycle(5)
+    rep = pi1.path_homotopic_bounded(pi1.make_path(C5, (0, 1, 2)),
+                                     pi1.make_path(C5, (0, 4, 3, 2)), 9, 50000)
+    assert (rep.verdict, rep.explored, yields["all"]) == (
+        "no_exhausted", 1520, 3228)
+    yields.clear()
+    rep = pi1.path_homotopic_bounded(
+        pi1.make_path(C5, (0, 1, 2, 3, 2, 1, 0)), pi1.constant_path(C5, 0),
+        9, 50000)
+    assert (rep.verdict, rep.explored, yields["all"]) == ("yes", 443, 2589)
 
 
 def _hnf_contains(rows, image):
