@@ -138,14 +138,13 @@ def _abelianization_text(rank, torsion):
 # --- commands -----------------------------------------------------------
 
 
-def cmd_verify_identities(args, cfg):
+def cmd_verify_identities(args):
     from . import skeleta as sk
 
     sites = (
         ["cubical", "simplicial"] if args.site == "both" else [args.site]
     )
-    n = args.n if args.n is not None else cfg.n
-    k_max = args.k_max if args.k_max is not None else n + 3
+    k_max = args.k_max if args.k_max is not None else args.n + 3
     if k_max < 1:
         print(f"error: --k-max {k_max} checks no identity; it must be at least 1",
               file=sys.stderr)
@@ -154,34 +153,34 @@ def cmd_verify_identities(args, cfg):
     results = []
     ok_all = True
     for site in sites:
-        for row in sk.verify_skeletal_identities(site, n, k_max):
+        for row in sk.verify_skeletal_identities(site, args.n, k_max):
             results.append({"site": site, **row})
             ok_all = ok_all and row["ok"]
             status = "ok" if row["ok"] else "FAIL"
             lines.append(
-                f"{site} n={n} k={row['k']} {row['kind']}: {status}"
+                f"{site} n={args.n} k={row['k']} {row['kind']}: {status}"
             )
     lines.append("all identities hold" if ok_all else "identity failures")
     _emit({"lines": lines, "results": results, "ok": ok_all}, args.json)
     return EXIT_OK if ok_all else EXIT_NEGATIVE
 
 
-def cmd_check_rlp(args, cfg):
+def cmd_check_rlp(args):
     from . import lifting as lf
     from . import presheaf as ps
 
     f = _load_as(ps.map_from_json, "presheaf map", args.map)
-    n = args.n if args.n is not None else cfg.n
     site = f.source.site
     name = ("J_n_prime_" if args.set == "J" else "I_n_prime_") + site
-    gens = lf.generating_set(name, n)
+    gens = lf.generating_set(name, args.n)
     if gens.max_k() > f.source.trunc_dim:
-        print(f"error: --n {n} needs members of dimension {gens.max_k()}, "
-              f"above the map's truncation {f.source.trunc_dim}",
+        print(f"error: --n {args.n} needs members of dimension "
+              f"{gens.max_k()}, above the map's truncation "
+              f"{f.source.trunc_dim}",
               file=sys.stderr)
         return EXIT_INPUT
     holds, witness = lf.has_rlp(f, gens)
-    lines = [f"RLP against {name} (n={n}): {'yes' if holds else 'no'}"]
+    lines = [f"RLP against {name} (n={args.n}): {'yes' if holds else 'no'}"]
     if witness is not None:
         lines.append(f"counterexample member: {witness['member']}")
     _emit(
@@ -203,40 +202,23 @@ def _emit_presheaf(X, args):
         print(text)
 
 
-def _level(X, args, cfg):
-    """The --n level of sk/cosk; one above X's truncation exits with
-    EXIT_INPUT."""
-    n = args.n if args.n is not None else cfg.n
-    if n > X.trunc_dim:
-        print(f"error: --n {n} exceeds the input's truncation {X.trunc_dim}",
-              file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
-    return n
-
-
-def cmd_cosk(args, cfg):
+def cmd_sk_cosk(args):
+    """The --n skeleton (sk) or coskeleton (cosk) of the input presheaf."""
     from . import presheaf as ps
     from . import skeleta as sk
 
     X = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.input)
-    n = _level(X, args, cfg)
-    C, _unit = sk.coskeleton(X, n)
-    _emit_presheaf(C, args)
+    if args.n > X.trunc_dim:
+        print(f"error: --n {args.n} exceeds the input's truncation "
+              f"{X.trunc_dim}", file=sys.stderr)
+        return EXIT_INPUT
+    build = sk.skeleton if args.command == "sk" else sk.coskeleton
+    Y, _map = build(X, args.n)
+    _emit_presheaf(Y, args)
     return EXIT_OK
 
 
-def cmd_sk(args, cfg):
-    from . import presheaf as ps
-    from . import skeleta as sk
-
-    X = _load_as(ps.FinitePresheaf.from_json, "presheaf", args.input)
-    n = _level(X, args, cfg)
-    S, _incl = sk.skeleton(X, n)
-    _emit_presheaf(S, args)
-    return EXIT_OK
-
-
-def cmd_triangulate(args, cfg):
+def cmd_triangulate(args):
     from . import presheaf as ps
     from . import product as pr
 
@@ -248,7 +230,7 @@ def cmd_triangulate(args, cfg):
     return EXIT_OK
 
 
-def cmd_geometric_product(args, cfg):
+def cmd_geometric_product(args):
     from . import presheaf as ps
     from . import product as pr
 
@@ -262,7 +244,7 @@ def cmd_geometric_product(args, cfg):
     return EXIT_OK
 
 
-def cmd_pi0(args, cfg):
+def cmd_pi0(args):
     from . import graphs as gr
 
     X = _load_as(gr.Graph.from_json, "graph", args.graph)
@@ -277,7 +259,7 @@ def cmd_pi0(args, cfg):
     return EXIT_OK
 
 
-def cmd_a1(args, cfg):
+def cmd_a1(args):
     from . import graphs as gr
     from . import pi1 as p1
 
@@ -309,7 +291,7 @@ def cmd_a1(args, cfg):
     return EXIT_OK
 
 
-def cmd_paths_homotopic(args, cfg):
+def cmd_paths_homotopic(args):
     from . import graphs as gr
     from . import pi1 as p1
 
@@ -318,11 +300,7 @@ def cmd_paths_homotopic(args, cfg):
         a = p1.make_path(X, _parse_word(args.p1))
         b = p1.make_path(X, _parse_word(args.p2))
         report = p1.path_homotopic_bounded(
-            a, b,
-            max_support=args.support,
-            max_steps=(args.max_steps if args.max_steps is not None
-                       else cfg.max_steps),
-        )
+            a, b, max_support=args.support, max_steps=args.max_steps)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -338,19 +316,14 @@ def cmd_paths_homotopic(args, cfg):
     return _VERDICT_EXIT.get(report.verdict, EXIT_BUDGET)
 
 
-def cmd_check_graph_fibration(args, cfg):
+def cmd_check_graph_fibration(args):
     from . import graphs as gr
     from . import nerve as nv
 
     f = _load_as(gr.GraphMap.from_json, "graph map", args.map)
-    n = args.n if args.n is not None else cfg.n
     report = nv.is_graph_n_fibration_bounded(
-        f,
-        n,
-        M_max=args.support if args.support is not None else cfg.support_bound,
-        slack=args.slack if args.slack is not None else cfg.slack,
-        budget=args.budget if args.budget is not None else cfg.cell_budget,
-        seed=args.seed if args.seed is not None else cfg.seed,
+        f, args.n, M_max=args.support, slack=args.slack, budget=args.budget,
+        seed=args.seed,
     )
     lines = [f"verdict: {report.verdict}"]
     for key in sorted(report.detail):
@@ -363,7 +336,7 @@ def cmd_check_graph_fibration(args, cfg):
     return _VERDICT_EXIT.get(report.verdict, EXIT_BUDGET)
 
 
-def cmd_psi_check(args, cfg):
+def cmd_psi_check(args):
     from . import graphs as gr
     from . import pi1 as p1
 
@@ -376,10 +349,9 @@ def cmd_psi_check(args, cfg):
     report = p1.psi_comparison(
         f, g,
         samples=args.samples,
-        seed=args.seed if args.seed is not None else cfg.seed,
+        seed=args.seed,
         max_support=args.support,
-        max_steps=(args.max_steps if args.max_steps is not None
-                   else cfg.max_steps),
+        max_steps=args.max_steps,
     )
     lines = [f"pi0: {report['pi0']['verdict']}"]
     for label in ("fullness", "faithfulness"):
@@ -390,18 +362,13 @@ def cmd_psi_check(args, cfg):
     return EXIT_OK if report["passed"] else EXIT_NEGATIVE
 
 
-def cmd_nerve_stats(args, cfg):
+def cmd_nerve_stats(args):
     from . import graphs as gr
     from . import nerve as nv
 
     X = _load_as(gr.Graph.from_json, "graph", args.graph)
     try:
-        N = nv.nerve_fragment(
-            X,
-            args.dim,
-            args.support if args.support is not None else cfg.support_bound,
-            budget=args.budget if args.budget is not None else cfg.cell_budget,
-        )
+        N = nv.nerve_fragment(X, args.dim, args.support, budget=args.budget)
     except nv.BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -418,7 +385,7 @@ def cmd_nerve_stats(args, cfg):
     return EXIT_OK
 
 
-def cmd_selftest(args, cfg):
+def cmd_selftest(args):
     from . import graphs as gr
     from . import lifting as lf
     from . import pi1 as p1
@@ -426,7 +393,7 @@ def cmd_selftest(args, cfg):
     from . import product as pr
     from . import skeleta as sk
 
-    n = args.n if args.n is not None else 0
+    n = args.n
     lines = []
     ok = True
 
@@ -480,7 +447,11 @@ def cmd_selftest(args, cfg):
 # --- wiring --------------------------------------------------------------
 
 
-def _build_parser():
+def _build_parser(cfg):
+    """The argument parser; each flag that a config key also sets takes
+    the value of that key in cfg as its default, so a flag given on the
+    command line wins over the config, and the config over RunConfig's
+    built-in value."""
     top = argparse.ArgumentParser(
         prog="cubigraph",
         description="truncated cubical/simplicial presheaves and the "
@@ -498,29 +469,27 @@ def _build_parser():
             p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
         return p
 
+    n = {"type": _count, "default": cfg.n}
+    max_steps = {"type": _count, "default": cfg.max_steps}
+    seed = {"type": int, "default": cfg.seed}
     add(
         "verify-identities", cmd_verify_identities,
         site={"choices": ["cubical", "simplicial", "both"],
               "default": "both"},
-        n={"type": _count, "default": None},
+        n=n,
         k_max={"type": _count, "default": None},
     )
     add(
         "check-rlp", cmd_check_rlp,
         map={"required": True},
         set={"choices": ["J", "I"], "default": "J"},
-        n={"type": _count, "default": None},
+        n=n,
     )
-    add(
-        "cosk", cmd_cosk,
-        input={"required": True}, n={"type": _count, "default": None},
-        output={"default": None},
-    )
-    add(
-        "sk", cmd_sk,
-        input={"required": True}, n={"type": _count, "default": None},
-        output={"default": None},
-    )
+    for name in ("cosk", "sk"):
+        add(
+            name, cmd_sk_cosk,
+            input={"required": True}, n=n, output={"default": None},
+        )
     add(
         "triangulate", cmd_triangulate,
         input={"required": True},
@@ -544,42 +513,45 @@ def _build_parser():
         p1={"required": True, "help": "comma-separated vertex word"},
         p2={"required": True},
         support={"type": _count, "default": None},
-        max_steps={"type": _count, "default": None},
+        max_steps=max_steps,
     )
     add(
         "check-graph-fibration", cmd_check_graph_fibration,
         map={"required": True},
-        n={"type": _count, "default": None},
-        support={"type": _count, "default": None},
-        slack={"type": _count, "default": None},
-        budget={"type": _count, "default": None},
-        seed={"type": int, "default": None},
+        n=n,
+        support={"type": _count, "default": cfg.support_bound},
+        slack={"type": _count, "default": cfg.slack},
+        budget={"type": _count, "default": cfg.cell_budget},
+        seed=seed,
     )
     add(
         "psi-check", cmd_psi_check,
         f={"required": True}, g={"required": True},
         samples={"type": _count, "default": 5},
         support={"type": _count, "default": 8},
-        max_steps={"type": _count, "default": None},
-        seed={"type": int, "default": None},
+        max_steps=max_steps,
+        seed=seed,
     )
     add(
         "nerve-stats", cmd_nerve_stats,
         graph={"required": True},
         dim={"type": _count, "required": True},
-        support={"type": _count, "default": None},
-        budget={"type": _count, "default": None},
+        support={"type": _count, "default": cfg.support_bound},
+        budget={"type": _count, "default": cfg.cell_budget},
     )
-    add("selftest", cmd_selftest, n={"type": _count, "default": None})
+    add("selftest", cmd_selftest, n={"type": _count, "default": 0})
     return top
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = _load_config(args.config) if args.config else RunConfig()
+    args = _build_parser(RunConfig()).parse_args(argv)
+    if args.config:
+        # the config is read after a first parse, so that a malformed
+        # command line and --help are answered before a config error, and
+        # the second parse gives the config's values to the flags
+        args = _build_parser(_load_config(args.config)).parse_args(argv)
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
 

@@ -282,8 +282,8 @@ def _cycle_order(X):
             break
         order.append(nxt)
         prev, cur = cur, nxt
-        if len(order) > n:
-            return None
+    # a 2-regular graph is a union of cycles, so the walk is back at start
+    # within n steps; it lists all n vertices only if X is one cycle
     return order if len(order) == n else None
 
 

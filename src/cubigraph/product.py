@@ -247,7 +247,7 @@ def triangulate(X, trunc_dim=None):
             for k in range(D + 1):
                 cells[k].extend((k, n, x, s) for s in interior[k])
 
-    def image(key, g, cell):
+    def image(_key, g, cell):
         _, n, x, s = cell
         t = [s[v] for v in g.values]
         free = [i for i in range(n) if t[0][i] != t[-1][i]]

@@ -489,3 +489,62 @@ def test_explicit_zero_max_steps_is_honoured(files, capsys):
          "--p2", "0,4,3,2", "--max-steps", "0", "--json"], capsys)
     assert code == 3
     assert json.loads(out)["verdict"] == "inconclusive"
+
+
+def _configured(tmp_path, setting, argv):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(setting))
+    return ["--config", str(path), *argv]
+
+
+# One command line per config key whose report that key changes.  The
+# config value takes effect (the exit code, and a fragment of stdout),
+# and the flag, set to the built-in default, beats the config: the report
+# is then the one without a config.
+@pytest.mark.parametrize("setting, argv, flag, code, fragment", [
+    ({"n": 3}, ["sk", "--input", "interval.json"], ["--n", "1"], 2, ""),
+    ({"n": 0}, ["verify-identities", "--site", "cubical"], ["--n", "1"], 0,
+     "cubical n=0 k=3"),
+    ({"n": 0}, ["check-rlp", "--map", "terminal.json", "--set", "I"],
+     ["--n", "1"], 1, "(n=0)"),
+    ({"support_bound": 2}, ["nerve-stats", "--graph", "c4.json", "--dim", "1"],
+     ["--support", "1"], 0, "dim 1: 324 cubes"),
+    ({"slack": 0}, ["check-graph-fibration", "--map", "id-i1.json", "--json"],
+     ["--slack", "2"], 0, '"slack": 0'),
+    ({"cell_budget": 1}, ["nerve-stats", "--graph", "c4.json", "--dim", "2"],
+     ["--budget", "10000000"], 3, ""),
+    ({"max_steps": 0}, ["paths-homotopic", "--graph", "c4.json",
+                        "--p1", "0,1,2", "--p2", "0,3,2"],
+     ["--max-steps", "20000"], 3, "verdict: inconclusive"),
+    # without the config, the report test_psi_check_json_is_pinned pins
+    ({"seed": 1}, ["psi-check", "--f", "id-i1.json", "--g", "id-i1.json",
+                   "--samples", "2", "--json"], ["--seed", "0"], 0, '"pass"'),
+])
+def test_config_sets_defaults_and_flags_win(files, tmp_path, capsys, setting,
+                                            argv, flag, code, fragment):
+    argv = [files.get(a, a) for a in argv]
+    plain = run(argv, capsys)
+    configured = run(_configured(tmp_path, setting, argv), capsys)
+    assert configured != plain
+    assert configured[0] == code and fragment in configured[1]
+    assert run(_configured(tmp_path, setting, argv + flag), capsys) == plain
+
+
+@pytest.mark.parametrize("setting, argv, flag", [
+    # selftest --n defaults to 0 whatever the config says
+    ({"n": 1}, ["selftest"], ["--n", "1"]),
+    # psi-check --support defaults to 8, not to support_bound; at 8 the
+    # first fullness sample on id I2 finds no homotopy square lift
+    ({"support_bound": 1}, ["psi-check", "--f", "id-i2.json",
+                            "--g", "id-i2.json", "--samples", "2"],
+     ["--support", "1"]),
+])
+def test_config_does_not_reach_flags_without_a_key(tmp_path, capsys, setting,
+                                                   argv, flag):
+    (tmp_path / "id-i2.json").write_text(
+        json.dumps(gr.graph_identity(gr.interval(2)).to_json()))
+    argv = [str(tmp_path / a) if a == "id-i2.json" else a for a in argv]
+    plain = run(argv, capsys)
+    assert run(_configured(tmp_path, setting, argv), capsys) == plain
+    # the flag at the config's value does change the report
+    assert run(argv + flag, capsys) != plain

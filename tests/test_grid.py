@@ -65,6 +65,116 @@ def test_cycle_order_detection():
     assert gd._cycle_order(gr.box_product(gr.interval(1), gr.interval(1)))
 
 
+def _ring(points):
+    """The 8 points (x, y, M, ..., M) of a point set in [-M, M]^k with
+    max(|x|, |y|) == 1, in cyclic order: a cycle of its point graph."""
+    square = [(-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1),
+              (0, -1)]
+    return [xy + max(points)[2:] for xy in square]
+
+
+def _cycle_filler_cases():
+    """(points, n, frozen, kind) for the cycle filler differential test:
+    full grids at k = 2, 3 and cube boundaries at k = 3, frozen values
+    given as positions along the n-cycle.
+
+    Each point set gets the hand-made kinds on its ring (a winding, heights
+    that are not 1-Lipschitz, a step of two, two frozen components, and a
+    frozen ring that does extend), then seeded random frozen data: a
+    random labeling (a graph map, so it extends) restricted to a random
+    connected region, with one value sometimes moved by 1 or 2
+    positions."""
+    rng = random.Random(11)
+    shapes = [gd._grid(1, 2), gd._grid(2, 2), gd._grid(1, 3),
+              gd._boundary_points(3, 1), gd._boundary_points(3, 2)]
+    for points in shapes:
+        ring = _ring(points)
+        for n in (5, 6):
+            yield points, n, dict(zip(ring, (*range(n), n, n))), "winding"
+            yield points, n, dict(zip(ring, range(7))), "non-Lipschitz"
+            yield points, n, {ring[0]: 0, ring[1]: 2}, "step of two"
+            yield points, n, {ring[0]: 0, ring[4]: 2}, "disconnected"
+            yield points, n, dict(zip(ring, (0, 1, 2, 1, 0, -1, -2, -1))), "ok"
+            order = gd._cycle_order(gr.cycle(n))
+            for _ in range(12):
+                table = gd._labelings(gr.cycle(n), points,
+                                      rng=random.Random(rng.randrange(99)),
+                                      limit=1, budget=nv.Budget(10**6))[0]
+                chosen = _grown_region(points, rng)
+                frozen = {t: order.index(table[t]) for t in chosen}
+                if rng.random() < 0.5:
+                    frozen[rng.choice(chosen)] += rng.choice((1, 2))
+                yield points, n, frozen, "random"
+
+
+def _grown_region(points, rng):
+    """A random connected region of the point set, of 1 to half its
+    points, grown one random box neighbour at a time."""
+    index, nbrs = gd._shape(tuple(sorted(points)))
+    ordered = sorted(points)
+    region = [rng.choice(ordered)]
+    rim = set(nbrs[index[region[0]]])
+    for _ in range(rng.randint(0, len(points) // 2 - 1)):
+        j = rng.choice(sorted(rim))
+        region.append(ordered[j])
+        rim |= set(nbrs[j])
+        rim -= {index[t] for t in region}
+    return region
+
+
+def _components(points):
+    """The connected components of a point set with box adjacency."""
+    left, comps = set(points), []
+    while left:
+        stack = [left.pop()]
+        comp = set(stack)
+        while stack:
+            t = stack.pop()
+            for axis in range(len(t)):
+                for d in (-1, 1):
+                    s = t[:axis] + (t[axis] + d,) + t[axis + 1:]
+                    if s in left:
+                        left.discard(s)
+                        comp.add(s)
+                        stack.append(s)
+        comps.append(comp)
+    return comps
+
+
+def test_cycle_filler_agrees_with_the_labeling_search():
+    """_cycle_filler against _labelings(limit=1) into C5 and C6 on
+    _cycle_filler_cases: a labeling exactly when the search finds one, a
+    returned table a graph map that agrees with the frozen data, and None
+    (no verdict) only for frozen data in two or more components."""
+    seen = set()
+    for points, n, frozen, kind in _cycle_filler_cases():
+        C = gr.cycle(n)
+        order = gd._cycle_order(C)
+        frozen = {t: order[j % n] for t, j in frozen.items()}
+        decided = gd._cycle_filler(order, points, frozen)
+        if decided is None:
+            assert len(_components(frozen)) > 1, (points, frozen)
+            seen.add((kind, None))
+            continue
+        sols = gd._labelings(C, points, _domains(frozen, None), limit=1,
+                             budget=nv.Budget(10**7))
+        verdict, table = decided
+        assert (verdict == "labeling") == bool(sols), (points, frozen, kind)
+        seen.add((kind, verdict))
+        if table is None:
+            continue
+        assert all(table[t] == v for t, v in frozen.items())
+        _, nbrs = gd._shape(tuple(sorted(points)))
+        ordered = sorted(points)
+        for j, t in enumerate(ordered):
+            assert all(C.adjacent(table[t], table[ordered[i]])
+                       for i in nbrs[j])
+    assert seen >= {("winding", "none"), ("non-Lipschitz", "none"),
+                    ("step of two", "none"), ("disconnected", None),
+                    ("ok", "labeling"), ("random", "labeling"),
+                    ("random", "none")}
+
+
 def _domains(frozen, allowed):
     """frozen (point -> vertex) and allowed (point -> vertex set) as one
     grid._labelings domain map, a frozen point a one-vertex domain that

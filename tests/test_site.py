@@ -81,6 +81,42 @@ def test_all_morphisms_are_canonical_and_closed_under_composition():
             assert st.cube_compose(f, g).is_canonical()
 
 
+_V1, _V2, _V3 = ("v", 1), ("v", 2), ("v", 3)
+
+
+@pytest.mark.parametrize("source_dim, coords", [
+    (2, (("xor", (_V1, _V2)),)),  # unknown op
+    (1, (("max", (_V1,)),)),  # one-child node
+    (3, (("max", (("max", (_V1, _V2)), _V3)),)),  # nested same-op child
+    (3, (("max", (("min", (_V1,)), _V3)),)),  # non-canonical child
+    (2, (("max", (_V2, _V1)),)),  # unordered child supports
+    (2, (("max", (_V1, ("min", (_V1, _V2)))),)),  # overlapping children
+    (1, (_V1, _V1)),  # overlapping coordinate supports
+    (2, (_V2, _V1)),  # unordered coordinate supports
+    (2, (("min", (_V2, _V1)), st.CONST0)),  # unordered, beside a constant
+    (1, (_V2,)),  # variable above the source dimension
+    (1, (("v", 0),)),  # variable below 1
+])
+def test_non_canonical_cube_morphisms_are_rejected(source_dim, coords):
+    assert not st.CubeMorphism(source_dim, coords).is_canonical()
+
+
+@pytest.mark.parametrize("target_dim, values", [
+    (1, (1, 0)),  # decreasing
+    (2, (0, 2, 1)),  # decreasing after a rise
+    (1, (0, 2)),  # value above the target dimension
+    (1, (-1, 0)),  # negative value
+])
+def test_non_canonical_simplex_maps_are_rejected(target_dim, values):
+    assert not st.SimplexMorphism(target_dim, values).is_canonical()
+
+
+def test_every_enumerated_morphism_is_canonical():
+    for m, n in itertools.product(range(4), repeat=2):
+        assert all(f.is_canonical() for f in st.all_cube_morphisms(m, n))
+        assert all(f.is_canonical() for f in st.all_simplex_morphisms(m, n))
+
+
 # --- enumeration counts, cross-checked against a closed-form count:
 # a morphism is a tuple of terms with pairwise disjoint supports that
 # appear in increasing variable order across coordinates (no symmetry
