@@ -94,6 +94,9 @@ class GraphMap:
         return self.assignment[v]
 
     def validate(self):
+        for v in self.assignment:
+            if v not in self.source.adj:
+                raise ValueError(f"value for {v!r}, which is no source vertex")
         for v in self.source.vertices:
             if v not in self.assignment:
                 raise ValueError(f"no value for vertex {v!r}")
@@ -136,9 +139,9 @@ class GraphMap:
     def from_json(data):
         source = Graph.from_json(data["source"])
         target = Graph.from_json(data["target"])
-        assignment = {
-            _freeze(v): _freeze(w) for v, w in data["assignment"]
-        }
+        assignment = {_freeze(v): _freeze(w) for v, w in data["assignment"]}
+        if len(assignment) < len(data["assignment"]):
+            raise ValueError("a source vertex is assigned more than once")
         f = GraphMap(source, target, assignment)
         f.validate()
         return f

@@ -15,7 +15,6 @@ from .presheaf import (
     enumerate_maps,
     representable,
 )
-from .product import cylinder
 
 
 def empty_presheaf(site_name, trunc_dim):
@@ -205,8 +204,9 @@ def elementary_homotopy_search(f, g, max_chain=4):
     every cylinder map, so a miss with the reachable set exhausted is a
     conclusive negative.
     """
-    # imported here: check-rlp loads this module but not graphs
+    # imported here: check-rlp loads this module, not graphs or product
     from .graphs import _shortest_path
+    from .product import cylinder
 
     X, Y = f.source, f.target
     P, i0, i1, _ = cylinder(X)

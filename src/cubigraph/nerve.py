@@ -319,8 +319,7 @@ def is_graph_n_fibration_bounded(
     seeded random problems each.  Returns a FibrationReport with verdict
     yes_on_tested_range, counterexample, or inconclusive (budget exhausted).
     """
-    # imported here: lifting pulls in product, which importing the nerve
-    # does not otherwise pay for
+    # imported here: nerve-stats and psi-check do not load lifting
     from .lifting import generating_set
 
     tested = 0

@@ -125,8 +125,6 @@ class FinitePresheaf:
                   of the face's root, epi slot)
           ready   per search position, the position after which all its
                   faces are known (-1 when it has none)
-          gens    (dim k, source dim a, generator key, action table) for
-                  every generator, for the naturality check
         """
         if self._plan is not None:
             return self._plan
@@ -152,11 +150,7 @@ class FinitePresheaf:
             ]
             faces.append(fs)
             ready.append(max((p for _, p, _ in fs), default=-1))
-        gens = [
-            (k, g.source_dim, key, self.action[(key, k)])
-            for k in self.dims() for key, g in self.generators_at(k)
-        ]
-        self._plan = order, epis, where, faces, ready, gens
+        self._plan = order, epis, where, faces, ready
         return self._plan
 
     # -- root decomposition ---------------------------------------------------
@@ -736,12 +730,18 @@ def enumerate_maps(A, X, forced=None, injective_nondeg=False, limit=None,
     a position it takes each later cell whose faces are then all known,
     forced cells too, and drops the value if such a cell has no candidate
     left.  That cuts only subtrees that hold no map, so the maps and their
-    order do not depend on it.  Every assembled map is checked for
-    naturality and for the forced values before it is returned.
+    order do not depend on it.  Every assembled map phi is natural, so
+    none is re-checked: a free nondegenerate cell takes only candidates
+    whose faces match, a forced one is dropped at its wake when a face
+    disagrees, and a degenerate cell c = r.e (its unique root
+    decomposition) goes to X(e) phi(r).  Induction on dimension over the
+    epi-mono split then gives phi A(g) = X(g) phi for every generator g
+    whenever A and X are valid presheaves on an Eilenberg-Zilber site
+    (Berger-Moerdijk 2011), as every constructor and from_json make them.
     """
     if A.site != X.site or A.trunc_dim != X.trunc_dim:
         raise ValueError("shape mismatch")
-    order, epis, where, faces_a, ready, gens = A._search_plan()
+    order, epis, where, faces_a, ready = A._search_plan()
     forced = forced or []
     forced_checks = []  # (dim, cells of A, their prescribed values)
     for d, pairs in enumerate(forced):
@@ -775,7 +775,6 @@ def enumerate_maps(A, X, forced=None, injective_nondeg=False, limit=None,
         if t >= 0:
             _, fixed, mask, fs = plan[w]
             wakes[t].append((mask if fixed is None else 1 << fixed, fs))
-    checks = [(a, atab, k, X.action[(key, k)]) for k, a, key, atab in gens]
     results = []
     val = [0] * len(plan)
     used = [0] * len(pool)
@@ -785,10 +784,6 @@ def enumerate_maps(A, X, forced=None, injective_nondeg=False, limit=None,
             [val[p] if s < 0 else etabs[s][val[p]] for p, s in row]
             for row in where
         ]
-        for a, atab, k, xtab in checks:
-            if list(map(comps[a].__getitem__, atab)) != list(
-                    map(xtab.__getitem__, comps[k])):
-                return
         for d, cells, values in forced_checks:
             if list(map(comps[d].__getitem__, cells)) != values:
                 return

@@ -202,6 +202,9 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
 
 _CELL = ps.representable("cubical", 0, 0).to_json()
 _PT_TO_I1 = gr.GraphMap(gr.interval(0), gr.interval(1), {0: 0}).to_json()
+_ID_I1 = gr.graph_identity(gr.interval(1)).to_json()
+_TWICE = dict(_ID_I1, assignment=[[0, 0], [1, 1], [0, 1]])
+_EXTRA = dict(_ID_I1, assignment=[[0, 0], [1, 1], [7, 0], ["x", 5]])
 
 
 @pytest.mark.parametrize("command, flags, doc", [
@@ -212,6 +215,12 @@ _PT_TO_I1 = gr.GraphMap(gr.interval(0), gr.interval(1), {0: 0}).to_json()
     # a graph map with a value outside the target's vertices
     ("check-graph-fibration", ("--map",), dict(_PT_TO_I1, assignment=[[0, 5]])),
     ("psi-check", ("--f", "--g"), dict(_PT_TO_I1, assignment=[[0, 5]])),
+    # a graph map that assigns a source vertex twice
+    ("check-graph-fibration", ("--map",), _TWICE),
+    ("psi-check", ("--f", "--g"), _TWICE),
+    # a graph map with values at vertices the source lacks
+    ("check-graph-fibration", ("--map",), _EXTRA),
+    ("psi-check", ("--f", "--g"), _EXTRA),
 ])
 def test_malformed_document_is_input_error(tmp_path, capsys, command, flags,
                                            doc):
@@ -305,7 +314,7 @@ def test_each_command_imports_only_its_modules(files, tmp_path):
          "presheaf site skeleta"),
         (["verify-identities", "--n", "0"], 0, "presheaf site skeleta"),
         (["check-rlp", "--map", f["terminal.json"], "--set", "I", "--n", "0"],
-         1, "lifting presheaf product site"),
+         1, "lifting presheaf site"),
         (["triangulate", "--input", f["interval.json"]], 0,
          "presheaf product site"),
         (["geometric-product", "--x", f["interval.json"],
@@ -313,7 +322,7 @@ def test_each_command_imports_only_its_modules(files, tmp_path):
         (["nerve-stats", "--graph", f["c4.json"], "--dim", "1"], 0,
          "graphs grid nerve presheaf site"),
         (["check-graph-fibration", "--map", f["pt-to-i1.json"]], 1,
-         "graphs grid lifting nerve presheaf product site"),
+         "graphs grid lifting nerve presheaf site"),
         (["psi-check", "--f", f["id-i1.json"], "--g", f["id-i1.json"],
           "--samples", "2"], 0, "graphs grid nerve pi1 presheaf site"),
         (["--config", str(bad_cfg), "nerve-stats", "--graph", f["c4.json"],

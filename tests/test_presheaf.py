@@ -499,7 +499,7 @@ def test_enumerate_maps_matches_the_scan_in_order():
 
 def test_enumerate_maps_matches_the_scan_under_forced():
     rng = random.Random(5)
-    cases = 0
+    cases = refused = 0
     for group in _presheaf_zoo():
         for A in group:
             for X in group:
@@ -519,6 +519,20 @@ def test_enumerate_maps_matches_the_scan_under_forced():
                     if A.cells[top] else {},
                     {(0, A.cells[0][-1]): X.cells[1][0]},
                 ]
+                if A.nondeg(1) and X.nondeg(1):
+                    # a nondegenerate edge forced onto an edge x of X, and
+                    # its first face onto x's first face or onto another
+                    # vertex, which admits no map: only the wake of the
+                    # forced edge checks its faces
+                    key = next(k for k, _ in A.generators_at(1)
+                               if k[0] == "face")
+                    a, x = A.nondeg(1)[0], X.nondeg(1)[-1]
+                    face = X.act_gen(key, 1, x)
+                    others = [w for w in X.cells[0] if w != face]
+                    for w in [face] + others[:1]:
+                        prescriptions.append(
+                            {(1, a): x, (0, A.act_gen(key, 1, a)): w})
+                    refused += 2 * bool(others)
                 for forced in prescriptions:
                     for injective in (False, True):
                         kw = {"injective_nondeg": injective, "limit": 40}
@@ -527,3 +541,4 @@ def test_enumerate_maps_matches_the_scan_under_forced():
                               _scan_enumerate_maps(A, X, forced=forced, **kw))
                         cases += 1
     assert cases > 500
+    assert refused > 50
