@@ -54,7 +54,8 @@ def solve(problem, all_lifts=False):
     forced = _prescription(i, u.images)
     if forced is None:
         return {"no_lift": True}
-    # the search keeps each cell of B to the fibre of f over its v-image
+    # cells of B keep to the fibres over their v-images (forced ones lie
+    # over v, degenerate ones follow roots), so every map found is a lift
     allowed = []
     for d, (frow, vrow) in enumerate(zip(f.images, v.images)):
         fibres = [0] * len(f.target.cells[d])
@@ -65,7 +66,6 @@ def solve(problem, all_lifts=False):
         B, X, forced=forced, allowed=allowed,
         limit=None if all_lifts else 1,
     )
-    lifts = [h for h in lifts if f.compose(h) == v]
     if not lifts:
         return {"no_lift": True}
     return {"lifts": lifts} if all_lifts else {"lift": lifts[0]}
@@ -84,11 +84,15 @@ def squares_over(i, f):
 
 
 def has_rlp(f, gen_set):
-    """True iff every square over every member lifts; else a counterexample."""
-    members = gen_set.realize(f.source.trunc_dim)
-    for name, i in members:
+    """True iff every square over every member lifts; else the first
+    square of squares_over that does not.  (u, v) lifts iff it is (h.i,
+    f.h) for an h: B -> X, so the RLP against i: A -> B is surjectivity of
+    hom(B, X) -> hom(A, X) x_hom(A, Y) hom(B, Y) (Hovey 1999, 5.2)."""
+    for name, i in gen_set.realize(f.source.trunc_dim):
+        image = {(h.compose(i), f.compose(h))
+                 for h in enumerate_maps(i.target, f.source)}
         for u, v in squares_over(i, f):
-            if "no_lift" in solve(LiftingProblem(i, f, u, v)):
+            if (u, v) not in image:
                 return False, {"member": name, "top": u, "bottom": v}
     return True, None
 

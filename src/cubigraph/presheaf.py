@@ -718,9 +718,9 @@ def enumerate_maps(A, X, forced=None, injective_nondeg=False, limit=None,
     injective_nondeg: restrict the search to maps sending nondegenerate cells
     injectively to nondegenerate cells (complete for isomorphism search).
     allowed: optional list whose entry d holds, per d-cell i of A, a
-    bitmask of the d-cells of X that cell i may go to; it restricts the
-    choices of non-forced nondegenerate cells (a search hint only: callers
-    needing it as a guarantee must re-check the returned maps).
+    bitmask of the d-cells of X that cell i may go to.  It binds non-forced
+    nondegenerate cells, and every cell if the masks hold the forced values
+    and are closed under the action (degenerate cells follow their roots).
 
     The candidates for a nondegenerate cell are the cells of X whose faces
     match the images of its faces: the AND of the face-preimage bitmasks

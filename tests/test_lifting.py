@@ -344,3 +344,61 @@ def test_lifting_oracle_catches_a_shifted_fibre_mask(monkeypatch):
 
     monkeypatch.setattr(lf, "enumerate_maps", shifted)
     assert next(_disagreements(_lifting_cases(), Counter()), None)
+
+
+# ---------------------------------------------------------------------------
+# has_rlp decides each member by the image of hom(B, X); the square-by-square
+# solver it replaced, squares_over plus one solve per square, is the oracle.
+
+
+def _has_rlp_by_solve(f, gen_set):
+    for name, i in gen_set.realize(f.source.trunc_dim):
+        for u, v in lf.squares_over(i, f):
+            if "no_lift" in lf.solve(lf.LiftingProblem(i, f, u, v)):
+                return False, {"member": name, "top": u, "bottom": v}
+    return True, None
+
+
+def _rlp_key(result):
+    holds, witness = result
+    if holds:
+        return True, None, None, None
+    return False, witness["member"], witness["top"], witness["bottom"]
+
+
+_RLP_SETS = [(f"{family}_n_prime_{site}", n)
+             for site in ("cubical", "simplicial")
+             for family in ("I", "J") for n in (0, 1)]
+_RLP_SETS.append(("J_cubical_bounded", 2))
+
+
+def _rlp_cases():
+    """(set name, n, map): every set of _RLP_SETS against terminal maps,
+    identities and seeded random maps at the set's top dimension."""
+    rng = random.Random(17)
+    maps = {}
+    for name, n in _RLP_SETS:
+        gens = lf.generating_set(name, n)
+        D = gens.max_k()
+        if (gens.site, D) not in maps:
+            fs = []
+            for _ in range(3):
+                X = ps.random_presheaf(gens.site, D, rng, max_nondeg=5)
+                Y = ps.random_presheaf(gens.site, D, rng, max_nondeg=4)
+                fs += [lf.terminal_map(X), ps.identity_map(X)]
+                fs.extend(ps.enumerate_maps(X, Y, limit=2))
+            maps[(gens.site, D)] = fs
+        for f in maps[(gens.site, D)]:
+            yield name, n, f
+
+
+def test_has_rlp_matches_the_square_by_square_oracle():
+    counts = Counter()
+    for name, n, f in _rlp_cases():
+        gens = lf.generating_set(name, n)
+        got = _rlp_key(lf.has_rlp(f, gens))
+        assert got == _rlp_key(_has_rlp_by_solve(f, gens)), (name, n)
+        counts[(name, n, got[0])] += 1
+    print(sorted(counts.items()))
+    for name, n in _RLP_SETS:
+        assert counts[(name, n, True)] and counts[(name, n, False)], counts

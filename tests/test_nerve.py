@@ -6,6 +6,7 @@ import random
 
 from cubigraph import graphs as gr
 from cubigraph import grid as gd
+from cubigraph import lifting as lf
 from cubigraph import nerve as nv
 from cubigraph import presheaf as ps
 
@@ -375,6 +376,71 @@ def test_search_order_is_pinned():
     sols = gd._labelings(gr.cycle(4), gd._grid(1, 2), limit=3)
     assert [tuple(s.values()) for s in sols] == [
         (0,) * 9, (0,) * 8 + (1,), (0,) * 8 + (3,)]
+
+
+# At slack 0, with every member exhaustive, the nerve check poses exactly
+# the lifting squares of N f = nerve_map(f, ...) at (D, M) = (2, 1) against
+# J_0': a map from an open box or a boundary into the fragment is a labeling
+# of that region of [-1, 1]^k, and a filler of support 1 is a k-cube.
+
+
+def _nerve_lifting_cases():
+    I0, I1, I2, C4 = gr.interval(0), gr.interval(1), gr.interval(2), gr.cycle(4)
+    return {
+        "id I1": gr.graph_identity(I1),
+        "const I1 -> pt": gr.constant_map(I1, I0, 0),
+        "const I2 -> pt": gr.constant_map(I2, I0, 0),
+        "end pt -> I1": gr.GraphMap(I0, I1, {0: 0}),
+        "fold C4 -> I1": gr.GraphMap(C4, I1, {0: 0, 1: 1, 2: 0, 3: 1}),
+    }
+
+
+def _nerve_and_lifting(gen_set, cases):
+    """name -> (nerve side, lifting side) per map: (True, problems tested)
+    against (True, squares of every member) for a yes, and (False, the
+    failing member) on both sides for a no."""
+    out = {}
+    for name, f in cases.items():
+        rep = nv.is_graph_n_fibration_bounded(
+            f, 0, M_max=1, slack=0, sample_dim_from=99)
+        if rep.verdict == "yes_on_tested_range":
+            nerve = (True, rep.detail["tested"])
+        else:
+            shape, k, i, eps = rep.detail["member"]
+            nerve = (False, f"{shape} k={k} i={i} eps={eps}")
+        Nf = nv.nerve_map(f, nv.nerve_fragment(f.source, 2, 1),
+                          nv.nerve_fragment(f.target, 2, 1))
+        holds, witness = lf.has_rlp(Nf, gen_set)
+        if holds:
+            lifting = (True, sum(len(lf.squares_over(i, Nf))
+                                 for _, i in gen_set.realize(2)))
+        else:
+            lifting = (False, witness["member"])
+        out[name] = nerve, lifting
+    return out
+
+
+def test_nerve_check_agrees_with_the_lifting_engine_at_slack_0():
+    J0 = lf.generating_set("J_n_prime_cubical", 0)
+    got = _nerve_and_lifting(J0, _nerve_lifting_cases())
+    assert all(nerve == lifting for nerve, lifting in got.values()), got
+    assert {name: nerve for name, (nerve, _) in got.items()} == {
+        "id I1": (True, 1040),
+        "const I1 -> pt": (True, 516),
+        "const I2 -> pt": (True, 2314),
+        "end pt -> I1": (False, "box_into_cell k=1 i=1 eps=0"),
+        "fold C4 -> I1": (False, "box_into_boundary k=2 i=1 eps=0"),
+    }
+
+
+def test_nerve_lifting_comparison_catches_a_short_generating_set():
+    # negative control: J_cubical_bounded(1) has no box_into_boundary
+    # member, so has_rlp passes the fold where the nerve check fails it
+    fold = _nerve_lifting_cases()["fold C4 -> I1"]
+    short = lf.generating_set("J_cubical_bounded", 1)
+    nerve, lifting = _nerve_and_lifting(short, {"fold": fold})["fold"]
+    assert nerve == (False, "box_into_boundary k=2 i=1 eps=0")
+    assert lifting == (True, 32)
 
 
 def test_stable_cube_json_round_trip():
