@@ -71,27 +71,32 @@ def solve(problem, all_lifts=False):
     return {"lifts": lifts} if all_lifts else {"lift": lifts[0]}
 
 
-def squares_over(i, f):
-    """All commuting squares (u, v) of i against f, deterministically."""
-    out = []
+def _squares(i, f):
+    """The commuting squares (u, v) of i against f, one at a time."""
     for u in enumerate_maps(i.source, f.source):
         forced = _prescription(i, f.compose(u).images)
         if forced is None:
             continue
         for v in enumerate_maps(i.target, f.target, forced=forced):
-            out.append((u, v))
-    return out
+            yield u, v
+
+
+def squares_over(i, f):
+    """All commuting squares (u, v) of i against f, deterministically."""
+    return list(_squares(i, f))
 
 
 def has_rlp(f, gen_set):
     """True iff every square over every member lifts; else the first
     square of squares_over that does not.  (u, v) lifts iff it is (h.i,
     f.h) for an h: B -> X, so the RLP against i: A -> B is surjectivity of
-    hom(B, X) -> hom(A, X) x_hom(A, Y) hom(B, Y) (Hovey 1999, 5.2)."""
+    hom(B, X) -> hom(A, X) x_hom(A, Y) hom(B, Y) (Hovey 1999, 5.2).  The
+    squares are walked as they are found, so a member's walk stops at its
+    first square outside the image."""
     for name, i in gen_set.realize(f.source.trunc_dim):
         image = {(h.compose(i), f.compose(h))
                  for h in enumerate_maps(i.target, f.source)}
-        for u, v in squares_over(i, f):
+        for u, v in _squares(i, f):
             if (u, v) not in image:
                 return False, {"member": name, "top": u, "bottom": v}
     return True, None

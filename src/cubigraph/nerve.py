@@ -28,11 +28,9 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import site as st
 from .grid import (BudgetExceeded, _boundary_points, _box_region, _clamp,
                    _clamp_map, _cycle_filler, _cycle_order, _grid, _index,
                    _labelings, _restart_labelings, _shape, _take)
-from .presheaf import PresheafMap, _from_images
 
 
 class Budget:
@@ -138,6 +136,10 @@ def _generator_gather(key, k, M):
     the gather taking the cube's values to the result's on [-M, M]^dim: at
     t, the value at the site generator's terms evaluated at t, a constant
     (canonical terms hold them only at the top) placed at -M or M."""
+    # imported here, as in nerve_fragment and nerve_map: psi-check loads
+    # this module for Budget alone, and site and presheaf not at all
+    from . import site as st
+
     g = dict(st.cube_generators(k, k + 1))[key]
 
     def source(t):
@@ -172,6 +174,8 @@ def nerve_fragment(X, D, M_max, budget=10 ** 6):
     The cube set is closed under every operator because faces, degeneracies
     and connections never raise support.
     """
+    from .presheaf import _from_images
+
     cells = {}
     shared = Budget(budget)
     for k in range(D + 1):
@@ -184,6 +188,8 @@ def nerve_fragment(X, D, M_max, budget=10 ** 6):
 
 def nerve_map(f, NX, NY):
     """N(f): nerve fragment of the source to that of the target."""
+    from .presheaf import PresheafMap
+
     image = f.assignment.__getitem__
     comps = {
         k: {c: _trimmed(k, c.support, tuple(map(image, c.values)))

@@ -417,25 +417,35 @@ def _free_reduce(word):
     return tuple(out)
 
 
-def walk_to_word(pres, walk):
-    """Rewrite a closed walk as a generator word (tree edges vanish)."""
-    gen_index = {}
-    for j, (u, v) in enumerate(pres.generators):
-        gen_index[(u, v)] = (j, 1)
-        gen_index[(v, u)] = (j, -1)
-    tree_edges = set()
+def _walk_reader(pres):
+    """walk_to_word for one presentation, its edge table built once: each
+    directed edge maps to its generator letter, or to None on the tree."""
+    letter = {}
     for v, par in pres.tree_parent.items():
         if par is not None:
-            tree_edges.add((v, par))
-            tree_edges.add((par, v))
-    word = []
-    for u, v in zip(walk, walk[1:]):
-        if u == v or (u, v) in tree_edges:
-            continue
-        if (u, v) not in gen_index:
-            raise ValueError(f"edge {(u, v)!r} is outside the presentation")
-        word.append(gen_index[(u, v)])
-    return _free_reduce(word)
+            letter[(v, par)] = letter[(par, v)] = None
+    for j, (u, v) in enumerate(pres.generators):
+        letter[(u, v)] = (j, 1)
+        letter[(v, u)] = (j, -1)
+
+    def read(walk):
+        word = []
+        for u, v in zip(walk, walk[1:]):
+            if u == v:
+                continue
+            if (u, v) not in letter:
+                raise ValueError(
+                    f"edge {(u, v)!r} is outside the presentation")
+            if letter[(u, v)] is not None:
+                word.append(letter[(u, v)])
+        return _free_reduce(word)
+
+    return read
+
+
+def walk_to_word(pres, walk):
+    """Rewrite a closed walk as a generator word (tree edges vanish)."""
+    return _walk_reader(pres)(walk)
 
 
 def a1_presentation(X, x):
@@ -476,18 +486,19 @@ def a1_presentation(X, x):
     # stored order, in the orientation whose second vertex comes before
     # its last (add does not depend on the start or orientation)
     adj = X.adj
+    read = _walk_reader(pres)
     for a in component:
         later = [v for v in adj[a] if pos[v] > pos[a]]
         for b in later:
             for c in later:
                 if pos[b] < pos[c] and c in adj[b]:
-                    add(walk_to_word(pres, (a, b, c, a)))
+                    add(read((a, b, c, a)))
             for c in adj[b]:
                 if c == a or pos[c] < pos[a]:
                     continue
                 for d in adj[c]:
                     if (d != b and pos[d] > pos[b] and d in adj[a]):
-                        add(walk_to_word(pres, (a, b, c, d, a)))
+                        add(read((a, b, c, d, a)))
     pres.relators = sorted(relators)
     return pres
 
@@ -540,28 +551,49 @@ def _echelon_basis(rows):
     Gcd row operations (each one unimodular) clear every column below its
     pivot; returns (pivot column, row) pairs with increasing columns, the
     row zero left of its pivot.
+
+    The elimination runs on sparse rows, {column: value} dicts without
+    zeros, filed by their leading column, so an operation touches only the
+    pivot row's nonzeros.  A column's rows are reduced against the one of
+    least |value| there until one is left; a reduced row that vanishes at
+    the column is filed again under its new leading column, which is
+    later, and a zero row is dropped.
     """
-    rows = [list(r) for r in rows if any(r)]
+    rows = list(rows)
+    width = len(rows[0]) if rows else 0
+    led = {}  # leading column -> the rows led there
+    for r in rows:
+        row = {j: a for j, a in enumerate(r) if a}
+        if row:
+            led.setdefault(min(row), []).append(row)
     basis = []
-    col = 0
-    while rows:
-        live = [r for r in rows if r[col]]
+    for col in range(width):
+        live = led.pop(col, None)
         if not live:
-            col += 1
             continue
-        rest = [r for r in rows if not r[col]]
         while len(live) > 1:
             live.sort(key=lambda r: abs(r[col]))
             pivot = live[0]
             nxt = [pivot]
             for r in live[1:]:
+                # q != 0 as |r[col]| >= |pivot[col]|, so a zero a is an
+                # entry r had
                 q = r[col] // pivot[col]
-                r = [a - q * b for a, b in zip(r, pivot)]
-                (nxt if r[col] else rest).append(r)
+                for j, b in pivot.items():
+                    a = r.get(j, 0) - q * b
+                    if a:
+                        r[j] = a
+                    else:
+                        del r[j]
+                if col in r:
+                    nxt.append(r)
+                elif r:
+                    led.setdefault(min(r), []).append(r)
             live = nxt
-        basis.append((col, live[0]))
-        rows = [r for r in rest if any(r)]
-        col += 1
+        dense = [0] * width
+        for j, a in live[0].items():
+            dense[j] = a
+        basis.append((col, dense))
     return basis
 
 
@@ -604,10 +636,11 @@ def pi1_functor(f, source_pres=None, target_pres=None):
     images = []
     base_img = f.assignment[source_pres.base]
     anchor = target_pres.tree_path(base_img)
+    read = _walk_reader(target_pres)
     for j in range(len(source_pres.generators)):
         loop = source_pres.generator_loop(j).mapped(f)
         walk = anchor.word + loop.word[1:] + anchor.reversed().word[1:]
-        images.append(walk_to_word(target_pres, walk))
+        images.append(read(walk))
     return Pi1Map(f, source_pres, target_pres, images)
 
 
@@ -626,8 +659,7 @@ def _lift_homotopy_square(f, eta, tau_img_lift, H_layers):
     whole grid is solved as a labeling problem in the source graph over
     the prescribed image values.  Returns the right-edge path, or None.
     """
-    # imported here: nerve pulls in presheaf and site, which no other
-    # function of this module needs
+    # imported here: a1 and paths-homotopic do not load nerve
     from .nerve import Budget
 
     X = f.source

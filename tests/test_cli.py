@@ -324,7 +324,7 @@ def test_each_command_imports_only_its_modules(files, tmp_path):
         (["check-graph-fibration", "--map", f["pt-to-i1.json"]], 1,
          "graphs grid lifting nerve presheaf site"),
         (["psi-check", "--f", f["id-i1.json"], "--g", f["id-i1.json"],
-          "--samples", "2"], 0, "graphs grid nerve pi1 presheaf site"),
+          "--samples", "2"], 0, "graphs grid nerve pi1"),
         (["--config", str(bad_cfg), "nerve-stats", "--graph", f["c4.json"],
           "--dim", "1"], 2, ""),
         (["nerve-stats", "--graph", f["c4.json"], "--dim", "-1"], 2, ""),
@@ -347,6 +347,15 @@ def test_each_command_imports_only_its_modules(files, tmp_path):
     loaded = proc.stdout.split()
     assert "cubigraph.nerve" not in loaded
     assert "cubigraph.presheaf" not in loaded
+
+    # nerve loads site and presheaf only where it builds a fragment, a
+    # fragment map or an operator gather
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cubigraph.nerve; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    loaded = [m for m in proc.stdout.split() if m.startswith("cubigraph.")]
+    assert loaded == ["cubigraph.grid", "cubigraph.nerve"]
 
     # the labeling search needs no other layer
     proc = subprocess.run(

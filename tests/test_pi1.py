@@ -866,6 +866,90 @@ def test_abelianization_agrees_with_sympy_smith_normal_form():
     assert torsion > 50
 
 
+def _dense_echelon_basis(rows):
+    """Oracle: pi1._echelon_basis as it was on dense rows, every row
+    operation over every column."""
+    rows = [list(r) for r in rows if any(r)]
+    basis = []
+    col = 0
+    while rows:
+        live = [r for r in rows if r[col]]
+        if not live:
+            col += 1
+            continue
+        rest = [r for r in rows if not r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            pivot = live[0]
+            nxt = [pivot]
+            for r in live[1:]:
+                q = r[col] // pivot[col]
+                r = [a - q * b for a, b in zip(r, pivot)]
+                (nxt if r[col] else rest).append(r)
+            live = nxt
+        basis.append((col, live[0]))
+        rows = [r for r in rest if any(r)]
+        col += 1
+    return basis
+
+
+def _in_echelon_lattice(basis, v):
+    """The oracle's reduction: whether v lies in the lattice of an echelon
+    basis, each basis row's coefficient forced by its pivot."""
+    v = list(v)
+    for col, row in basis:
+        q, r = divmod(v[col], row[col])
+        if r:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def _sparse_rows(rng, r, c):
+    """r rows of width c with at most 4 nonzeros each, some of them zero
+    rows and some repeats of earlier rows."""
+    rows = []
+    for _ in range(r):
+        if rows and rng.random() < 0.1:
+            rows.append(list(rng.choice(rows)))
+            continue
+        row = [0] * c
+        for j in rng.sample(range(c), rng.randint(0, min(4, c))):
+            row[j] = rng.choice((1, -1, 1, -1, 2, -2, 3, -4, 6))
+        rows.append(row)
+    return rows
+
+
+def test_sparse_echelon_agrees_with_the_dense_oracle():
+    # the pivot columns and |pivot| of an echelon basis are invariants of
+    # the lattice, and two bases span one lattice when each one's rows lie
+    # in the other's
+    C5, pt = gr.cycle(5), gr.interval(0)
+    f = gr.constant_map(C5, pt, 0)
+    P, _, _ = gr.pullback(f, f)
+    cases = [pi1._relator_rows(pi1.a1_presentation(G, G.vertices[0]))
+             for G in (P, gr.box_product(C5, C5))]
+    rng = random.Random(5)
+    cases += [_sparse_rows(rng, rng.randint(0, 60), rng.randint(1, 20))
+              for _ in range(150)]
+    cases += [_sparse_rows(rng, rng.randint(200, 400), rng.randint(40, 80))
+              for _ in range(6)]
+    reduced = 0
+    for rows in cases:
+        got, want = pi1._echelon_basis(rows), _dense_echelon_basis(rows)
+        assert ([(c, abs(row[c])) for c, row in got]
+                == [(c, abs(row[c])) for c, row in want]), rows
+        assert all(_in_echelon_lattice(want, row) for _, row in got), rows
+        assert all(_in_echelon_lattice(got, row) for _, row in want), rows
+        assert all(len(row) == len(rows[0]) and not any(row[:c])
+                   for c, row in got), rows
+        # cases where gcd steps clear some nonzero row at its leading
+        # column, to be filed again under a later one or dropped
+        reduced += len(rows) > len(got) + sum(not any(r) for r in rows)
+    assert len(pi1._echelon_basis(cases[0])) == 74
+    assert reduced > 100, reduced
+
+
 def test_loop_word_trivial_gives_up_within_the_state_cap():
     # the commutator of the two coordinate loops of C5 x C5 is trivial,
     # but the bounded rewriting does not find that; it must stop at
