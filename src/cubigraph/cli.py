@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -33,17 +32,10 @@ _VERDICT_EXIT = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Run settings a --config file may set; every one is an integer, and
-    every one but seed is a non-negative count."""
-
-    n: int = 1
-    support_bound: int = 1
-    slack: int = 2
-    cell_budget: int = 10**7
-    max_steps: int = 20000
-    seed: int = 0
+# run settings a --config file may set; every one is an integer, and every
+# one but seed is a non-negative count
+_CONFIG_DEFAULTS = {"n": 1, "support_bound": 1, "slack": 2,
+                    "cell_budget": 10**7, "max_steps": 20000, "seed": 0}
 
 
 def _jsonable(value):
@@ -86,16 +78,15 @@ def _load_as(parse, label, path):
 
 
 def _load_config(path):
-    """A RunConfig with the settings of a JSON object; a malformed one
-    exits with EXIT_INPUT."""
+    """The run settings, _CONFIG_DEFAULTS overridden by a JSON object; a
+    malformed one exits with EXIT_INPUT."""
     data = _load(path)
     if not isinstance(data, dict):
         print(f"error: config {path} is not a JSON object", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
-    known = {f.name for f in fields(RunConfig)}
-    cfg = RunConfig()
+    cfg = dict(_CONFIG_DEFAULTS)
     for key, value in data.items():
-        if key not in known:
+        if key not in cfg:
             print(f"error: unknown config key {key!r}", file=sys.stderr)
             raise SystemExit(EXIT_INPUT)
         # bool is an int subclass, but true is not a count
@@ -103,7 +94,7 @@ def _load_config(path):
             print(f"error: bad value {value!r} for config key {key!r}",
                   file=sys.stderr)
             raise SystemExit(EXIT_INPUT)
-        setattr(cfg, key, value)
+        cfg[key] = value
     return cfg
 
 
@@ -450,8 +441,8 @@ def cmd_selftest(args):
 def _build_parser(cfg):
     """The argument parser; each flag that a config key also sets takes
     the value of that key in cfg as its default, so a flag given on the
-    command line wins over the config, and the config over RunConfig's
-    built-in value."""
+    command line wins over the config, and the config over its
+    _CONFIG_DEFAULTS value."""
     top = argparse.ArgumentParser(
         prog="cubigraph",
         description="truncated cubical/simplicial presheaves and the "
@@ -469,9 +460,9 @@ def _build_parser(cfg):
             p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
         return p
 
-    n = {"type": _count, "default": cfg.n}
-    max_steps = {"type": _count, "default": cfg.max_steps}
-    seed = {"type": int, "default": cfg.seed}
+    n = {"type": _count, "default": cfg["n"]}
+    max_steps = {"type": _count, "default": cfg["max_steps"]}
+    seed = {"type": int, "default": cfg["seed"]}
     add(
         "verify-identities", cmd_verify_identities,
         site={"choices": ["cubical", "simplicial", "both"],
@@ -519,9 +510,9 @@ def _build_parser(cfg):
         "check-graph-fibration", cmd_check_graph_fibration,
         map={"required": True},
         n=n,
-        support={"type": _count, "default": cfg.support_bound},
-        slack={"type": _count, "default": cfg.slack},
-        budget={"type": _count, "default": cfg.cell_budget},
+        support={"type": _count, "default": cfg["support_bound"]},
+        slack={"type": _count, "default": cfg["slack"]},
+        budget={"type": _count, "default": cfg["cell_budget"]},
         seed=seed,
     )
     add(
@@ -536,15 +527,15 @@ def _build_parser(cfg):
         "nerve-stats", cmd_nerve_stats,
         graph={"required": True},
         dim={"type": _count, "required": True},
-        support={"type": _count, "default": cfg.support_bound},
-        budget={"type": _count, "default": cfg.cell_budget},
+        support={"type": _count, "default": cfg["support_bound"]},
+        budget={"type": _count, "default": cfg["cell_budget"]},
     )
     add("selftest", cmd_selftest, n={"type": _count, "default": 0})
     return top
 
 
 def main(argv=None):
-    args = _build_parser(RunConfig()).parse_args(argv)
+    args = _build_parser(_CONFIG_DEFAULTS).parse_args(argv)
     if args.config:
         # the config is read after a first parse, so that a malformed
         # command line and --help are answered before a config error, and

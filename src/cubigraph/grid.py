@@ -2,14 +2,16 @@
 integer grid points with box adjacency.
 
 A nerve cube, an open-box lifting problem and its filler, and a lifted
-path-homotopy square are all such labelings.  `_labelings` enumerates them
-by arc-consistency over int-bitmask domains, `_restart_labelings` finds one
+path-homotopy square are all such labelings.  The search runs on int
+masks: `_solve` enumerates them by arc consistency over neighbour lists
+and bitmask domains, returning one-bit masks, `_restart_solve` finds one
 by randomized restarts (a completed attempt without a solution certifies
 that there is none), and `_cycle_filler` decides extensions into a cycle
-exactly.  Search steps are charged to the caller's `nerve.Budget`.  The
-module imports no other cubigraph module, every name is private, and no
-public function of another layer is called, so the bench tracer counts
-this work toward the calling layer.
+exactly on index tables.  `_labelings` and `_restart_labelings` wrap the
+first two in vertex labels.  Search steps are charged to the caller's
+`nerve.Budget`.  The module imports no other cubigraph module, every name
+is private, and no public function of another layer is called, so the
+bench tracer counts this work toward the calling layer.
 """
 
 from __future__ import annotations
@@ -72,13 +74,6 @@ def _boundary_points(k, M):
     )
 
 
-@lru_cache(maxsize=64)
-def _clamp_map(k, Ms, M):
-    """Each point of [-Ms, Ms]^k -> its clamp into [-M, M]^k, so that
-    table[clamp[t]] extends a labeling of [-M, M]^k by clamping."""
-    return {t: _clamp(t, M) for t in _grid(Ms, k)}
-
-
 @lru_cache(maxsize=128)
 def _shape(points):
     """Compiled tables of a sorted point tuple with box adjacency: the
@@ -123,15 +118,18 @@ def _graph_bits(X):
     return verts, bit, closed
 
 
-def _labelings(X, points, allowed=None, rng=None, limit=None, budget=None):
-    """Graph-map labelings of a point set with box adjacency.
+def _solve(nbrs, domains, closed, rng=None, limit=None, budget=None):
+    """Graph-map labelings of the points of nbrs (neighbour lists by
+    index), each a list of one-bit masks aligned with domains.
 
     Solved as a constraint problem with arc-consistency propagation and
     minimum-remaining-values ordering (ties broken by point order, so
-    results are deterministic).  allowed: point -> permitted vertex set (a
-    single vertex freezes the point); rng shuffles value order (sampling);
-    limit caps the number of results; budget caps search steps.  Domains
-    are int bitmasks over the graph's vertices (see _graph_bits).
+    results are deterministic).  domains: the int bitmask of each point's
+    permitted vertices (one bit freezes the point); closed: a vertex's bit
+    -> its closed-neighbourhood mask (see _graph_bits); rng shuffles value
+    order (sampling); limit caps the number of results; budget is charged
+    one unit per propagation pop and per search node, counted here and
+    settled with one spend when the count passes its room or at exit.
 
     Arc consistency alone bounds every value by graph distance: along a
     shortest grid path from a point with one value w, each step keeps only
@@ -141,27 +139,20 @@ def _labelings(X, points, allowed=None, rng=None, limit=None, budget=None):
     (Mackworth, 1977), so no distance pass ahead of it would change the
     domains the search starts from.
     """
-    points = tuple(sorted(points))
-    _, nbrs = _shape(points)
-    verts, bit, closed = _graph_bits(X)
-    n = len(points)
-    full = (1 << len(verts)) - 1
-    domains = []
-    for t in points:
-        if allowed is not None and t in allowed:
-            dom = 0
-            for v in allowed[t]:
-                dom |= bit[v]
-        else:
-            dom = full
-        domains.append(dom)
+    domains = list(domains)
+    # filled with the support of each multi-bit domain met in this call
+    closed = dict(closed)
+    room = float("inf") if budget is None else budget.left
+    spent = 0
 
     def propagate(queue, trail):
         """AC-3 from the queued point indices; records removed masks on
         trail."""
+        nonlocal spent
         while queue:
-            if budget is not None:
-                budget.spend()
+            spent += 1
+            if spent > room:
+                budget.spend(spent)
             j = queue.pop()
             dj = domains[j]
             support = closed.get(dj)
@@ -169,6 +160,7 @@ def _labelings(X, points, allowed=None, rng=None, limit=None, budget=None):
                 support = 0
                 for low in _bits(dj):
                     support |= closed[low]
+                closed[dj] = support
             for i in nbrs[j]:
                 di = domains[i]
                 dead = di & ~support
@@ -181,30 +173,20 @@ def _labelings(X, points, allowed=None, rng=None, limit=None, budget=None):
                     queue.append(i)
         return True
 
-    out = []
-    if not propagate(list(range(n)), []):
-        return out
-    # the points still holding two or more values, in index order: the
-    # search only narrows domains below these, so no other point is ever
-    # branched on and the minimum-remaining-values scan can skip them
-    live = [j for j in range(n) if domains[j] & (domains[j] - 1)]
-    at_live = _take(live)
-
     def search():
+        nonlocal spent
         if limit is not None and len(out) >= limit:
             return
-        if budget is not None:
-            budget.spend()
+        spent += 1
+        if spent > room:
+            budget.spend(spent)
         # minimum remaining values, ties to the first point
         sizes = list(map(int.bit_count, at_live(domains)))
         best_size = min(filter((1).__lt__, sizes), default=None)
         if best_size is None:
             # an empty domain here is a component with no value at all
             if all(domains):
-                out.append({
-                    t: verts[dom.bit_length() - 1]
-                    for t, dom in zip(points, domains)
-                })
+                out.append(domains[:])
             return
         best = live[sizes.index(best_size)]
 
@@ -229,12 +211,22 @@ def _labelings(X, points, allowed=None, rng=None, limit=None, budget=None):
             if limit is not None and len(out) >= limit:
                 return
 
-    search()
+    out = []
+    if propagate(list(range(len(domains))), []):
+        # the points still holding two or more values: the search only
+        # narrows domains below these, so no other point is ever branched
+        # on and the minimum-remaining-values scan can skip them
+        live = [j for j, dom in enumerate(domains) if dom & (dom - 1)]
+        at_live = _take(live)
+        search()
+    if spent and budget is not None:
+        budget.spend(spent)
     return out
 
 
-def _restart_labelings(X, points, allowed, budget, rng=None):
-    """One labeling found via cheap randomized restarts; None is certified.
+def _restart_solve(nbrs, domains, closed, budget, rng=None):
+    """One _solve labeling found via cheap randomized restarts; None is
+    certified.
 
     Each attempt runs the full backtracking search under a node cutoff with
     a different (seeded, reproducible) value order; a completed attempt
@@ -244,7 +236,7 @@ def _restart_labelings(X, points, allowed, budget, rng=None):
     already randomized (for sampling); without, the first attempt is the
     deterministic order.  Attempts are metered by the caller's meter type.
     """
-    cutoff = 200 + 12 * len(points)
+    cutoff = 200 + 12 * len(domains)
     for attempt in range(600):
         if budget.left <= 0:
             budget.spend()
@@ -254,14 +246,47 @@ def _restart_labelings(X, points, allowed, budget, rng=None):
         else:
             order = random.Random(attempt) if attempt else None
         try:
-            sols = _labelings(X, points, allowed, rng=order, limit=1,
-                              budget=trial)
+            sols = _solve(nbrs, domains, closed, order, 1, trial)
             budget.spend(trial.allowance - trial.left)
             return sols[0] if sols else None
         except BudgetExceeded:
             budget.spend(trial.allowance)
-    sols = _labelings(X, points, allowed, limit=1, budget=budget)
+    sols = _solve(nbrs, domains, closed, None, 1, budget)
     return sols[0] if sols else None
+
+
+def _label_problem(X, points, allowed):
+    """The sorted points, their neighbour lists, domain masks, X's closed
+    masks and its vertices in bit order, for allowed mapping a point to
+    its permitted vertices (a point it omits may take any vertex)."""
+    points = tuple(sorted(points))
+    verts, bit, closed = _graph_bits(X)
+    # a set of distinct bits sums to its union
+    domains = [sum({bit[v] for v in allowed[t]})
+               if allowed is not None and t in allowed
+               else (1 << len(verts)) - 1 for t in points]
+    return points, _shape(points)[1], domains, closed, verts
+
+
+def _as_labels(points, sol, verts):
+    """One-bit masks aligned with points as a point -> vertex dict."""
+    return {t: verts[b.bit_length() - 1] for t, b in zip(points, sol)}
+
+
+def _labelings(X, points, allowed=None, rng=None, limit=None, budget=None):
+    """_solve on a point set with box adjacency, for domains given as
+    point -> vertex sets and solutions as point -> vertex dicts."""
+    points, nbrs, domains, closed, verts = _label_problem(X, points, allowed)
+    return [_as_labels(points, sol, verts)
+            for sol in _solve(nbrs, domains, closed, rng, limit, budget)]
+
+
+def _restart_labelings(X, points, allowed, budget, rng=None):
+    """_restart_solve on a point set as in _labelings: one point -> vertex
+    dict, or None (certified)."""
+    points, nbrs, domains, closed, verts = _label_problem(X, points, allowed)
+    sol = _restart_solve(nbrs, domains, closed, budget, rng)
+    return None if sol is None else _as_labels(points, sol, verts)
 
 
 def _cycle_order(X):
@@ -287,35 +312,37 @@ def _cycle_order(X):
     return order if len(order) == n else None
 
 
-def _cycle_filler(order, points, frozen):
+def _cycle_filler(order, nbrs, frozen):
     """Exact extension of a frozen labeling to a cycle, on a simply
     connected point region with unconstrained free points.
 
-    A labeling of a simply connected region by the n-cycle lifts to integer
-    heights; an extension of connected frozen data exists iff its height
-    lift is 1-Lipschitz for the point-graph metric, in which case the
-    distance-minimum extension realizes it.  Returns ("labeling", table),
-    ("none", None) for a certified miss, or None when not applicable
-    (frozen data spanning several components).
+    order lists the cycle's values in cyclic order, nbrs holds the
+    neighbour lists of the points by index, and frozen lists (point index,
+    value) pairs in point order.  A labeling of a simply connected region
+    by the n-cycle lifts to integer heights; an extension of connected
+    frozen data exists iff its height lift is 1-Lipschitz for the
+    point-graph metric, in which case the distance-minimum extension
+    realizes it.  Returns ("labeling", the values of order at every point
+    by index), ("none", None) for a certified miss, or None when not
+    applicable (frozen data spanning several components).
     """
     n = len(order)
-    pos = {v: j for j, v in enumerate(order)}
-    points = tuple(sorted(points))
-    index, nbrs = _shape(points)
-    froz = sorted(frozen)
-    if not froz:
-        return "labeling", {t: order[0] for t in points}
+    if not frozen:
+        return "labeling", [order[0]] * len(nbrs)
+    at = {v: h for h, v in enumerate(order)}
+    pos = [None] * len(nbrs)
+    for j, v in frozen:
+        pos[j] = at[v]
     # lift one connected component of the frozen region to heights
-    start = froz[0]
-    frozen_idx = {index[t] for t in froz}
-    heights = {index[start]: pos[frozen[start]]}
-    stack = [index[start]]
+    start = frozen[0][0]
+    heights = {start: pos[start]}
+    stack = [start]
     while stack:
         j = stack.pop()
         for i2 in nbrs[j]:
-            if i2 not in frozen_idx:
+            if pos[i2] is None:
                 continue
-            step = (pos[frozen[points[i2]]] - pos[frozen[points[j]]]) % n
+            step = (pos[i2] - pos[j]) % n
             if step == n - 1:
                 step = -1
             if step not in (-1, 0, 1):
@@ -327,13 +354,13 @@ def _cycle_filler(order, points, frozen):
             else:
                 heights[i2] = h
                 stack.append(i2)
-    if len(heights) != len(frozen_idx):
+    if len(heights) != len(frozen):
         return None  # disconnected frozen data: fall back to search
     # best[j] = min over frozen a of heights[a] + dist(a, j), by one bucket
     # BFS settling points in order of that value; the heights are
     # 1-Lipschitz iff every frozen point keeps its own height
     srcs = sorted(heights.items(), key=lambda item: item[1])
-    best = [None] * len(points)
+    best = [None] * len(nbrs)
     frontier = []
     s, level = 0, srcs[0][1]
     while frontier or s < len(srcs):
@@ -351,7 +378,6 @@ def _cycle_filler(order, points, frozen):
         level += 1
     if any(best[a] != h for a, h in heights.items()):
         return "none", None
-    return "labeling", {
-        t: order[b % n] if b is not None else order[0]
-        for t, b in zip(points, best)
-    }
+    return "labeling", [
+        order[b % n] if b is not None else order[0] for b in best
+    ]

@@ -17,9 +17,11 @@ clamp one step in.
 
 The cubes of a fragment and the open-box lifting problems of the bounded
 fibration check, with their fillers, are labelings solved by `grid`.  The
-check gives explicit three-valued verdicts; a filler miss inside the
-configured support cap is a counterexample-within-bounds, never an
-unbounded claim.
+check runs on int masks from the first problem to the last, on bit tables
+of the map built once per check, and turns masks into vertex labels only
+in a counterexample report.  It gives explicit three-valued verdicts; a
+filler miss inside the configured support cap is a
+counterexample-within-bounds, never an unbounded claim.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .grid import (BudgetExceeded, _boundary_points, _box_region, _clamp,
-                   _clamp_map, _cycle_filler, _cycle_order, _grid, _index,
-                   _labelings, _restart_labelings, _shape, _take)
+from .grid import (BudgetExceeded, _as_labels, _boundary_points, _box_region,
+                   _clamp, _cycle_filler, _cycle_order, _graph_bits, _grid,
+                   _index, _restart_solve, _shape, _solve, _take)
 
 
 class Budget:
@@ -160,10 +162,13 @@ def enumerate_cubes(X, k, M_max, budget=None):
     the labelings of [-M_max, M_max]^k, each cube's clamped extension."""
     if budget is None:
         budget = Budget(10 ** 6)
-    points = _grid(M_max, k)
+    points = tuple(_grid(M_max, k))
+    verts, _, closed = _graph_bits(X)
+    value = {1 << j: v for j, v in enumerate(verts)}.__getitem__
+    domains = [(1 << len(verts)) - 1] * len(points)
     return [
-        _trimmed(k, M_max, tuple(map(table.__getitem__, points)))
-        for table in _labelings(X, points, budget=budget)
+        _trimmed(k, M_max, tuple(map(value, sol)))
+        for sol in _solve(_shape(points)[1], domains, closed, budget=budget)
     ]
 
 
@@ -203,29 +208,39 @@ def nerve_map(f, NX, NY):
 # bounded open-box lifting for graph maps
 
 
+def _member_points(k, M, into_boundary):
+    """The points a member's w labels at support M: the grid [-M, M]^k,
+    or its boundary for a boundary-target member."""
+    return _boundary_points(k, M) if into_boundary else tuple(_grid(M, k))
+
+
 @lru_cache(maxsize=256)
 def _filler_table(k, i, eps, M, slack, into_boundary):
-    """The free points of a filler problem and where their constraints are
-    read.
+    """Index tables of the filler problems of one member.
 
     The filler grid is [-Ms, Ms]^k, Ms = M + slack (its boundary for a
     boundary-target member), and its free points are those off the open
-    box (i, eps) at support Ms.  Returns the free points in grid order,
-    each one's clamp into [-M, M]^k (where w is read), and for each the
-    distinct clamps into [-M, M]^k of its box-adjacent points on the open
-    box (where u is read).
+    box (i, eps) at support Ms.  Returns the free points' neighbour lists
+    (points in grid order), each one's w index (of its clamp into
+    [-M, M]^k) and u indices (of the distinct clamps of its box-adjacent
+    points on the open box); then, for the cycle path, the filler grid's
+    neighbour lists and the (point, u index) pairs of its open box.
     """
     Ms = M + slack
     region = set(_box_region(k, i, eps, Ms))
-    points = _boundary_points(k, Ms) if into_boundary else tuple(_grid(Ms, k))
+    points = _member_points(k, Ms, into_boundary)
     index, nbrs = _shape(points)
+    w_index = _shape(_member_points(k, M, into_boundary))[0]
+    u_index = _shape(_box_region(k, i, eps, M))[0]
     free = tuple(t for t in points if t not in region)
-    on_box = tuple(
-        tuple(sorted({_clamp(points[j], M) for j in nbrs[index[t]]
+    u_at = tuple(
+        tuple(sorted({u_index[_clamp(points[j], M)] for j in nbrs[index[t]]
                       if points[j] in region}))
         for t in free
     )
-    return free, tuple(_clamp(t, M) for t in free), on_box
+    return (_shape(free)[1], tuple(w_index[_clamp(t, M)] for t in free),
+            u_at, nbrs, tuple((index[t], u_index[_clamp(t, M)])
+                              for t in _box_region(k, i, eps, Ms)))
 
 
 class FibrationReport:
@@ -237,80 +252,85 @@ class FibrationReport:
         return f"FibrationReport({self.verdict})"
 
 
-def _member_problems(f, k, i, eps, M, into_boundary, rng, samples, budget):
-    """Yield (u labeling, w labeling) pairs for one generating-set member.
+def _map_bits(f):
+    """The bit tables of f for one fibration check (see grid._graph_bits):
+    the source's vertices and closed masks, the target's, the image bit
+    of each source bit, the fibre mask over each target bit, and the
+    source's cycle order as bits if it is a cycle of length >= 5."""
+    xverts, xbit, xclosed = _graph_bits(f.source)
+    yverts, ybit, yclosed = _graph_bits(f.target)
+    image = {xbit[x]: ybit[f.assignment[x]] for x in xverts}
+    fibre = dict.fromkeys(ybit.values(), 0)
+    for b, c in image.items():
+        fibre[c] |= b
+    order = _cycle_order(f.source)
+    # length >= 5 only: four unit steps cannot wrap such a cycle, so
+    # labelings of simply connected regions lift to integer heights
+    cycle = [xbit[v] for v in order] if order and len(order) >= 5 else None
+    return xverts, xclosed, yverts, yclosed, image, fibre, cycle
+
+
+def _member_problems(fb, k, i, eps, M, into_boundary, rng, samples, budget):
+    """Yield (u, w) pairs for one generating-set member, given f's bit
+    tables fb (see _map_bits).
 
     u labels the open-box region with source-graph vertices; w labels the
     full grid (or the boundary, for the boundary-target member) downstairs,
-    frozen to f(u) over the box region.
+    frozen to f(u) over the box region.  Both are lists of one-bit masks
+    aligned with the open box and the w points, in grid order.
     """
-    X, Y = f.source, f.target
+    xverts, xclosed, yverts, yclosed, image, _, _ = fb
     region = _box_region(k, i, eps, M)
-    w_points = _boundary_points(k, M) if into_boundary else _grid(M, k)
-    if rng is None:
-        us = _labelings(X, region, budget=budget)
-    else:
-        us = []
-        for _ in range(samples):
-            got = _restart_labelings(X, region, None, budget, rng=rng)
-            if got is not None:
-                us.append(got)
-    for u in us:
-        frozen = {t: {f.assignment[u[t]]} for t in region}
-        if rng is None:
-            ws = _labelings(Y, w_points, frozen, budget=budget)
-        else:
-            got = _restart_labelings(Y, w_points, frozen, budget, rng=rng)
-            ws = [got] if got is not None else []
-        for w in ws:
+    u_nbrs = _shape(region)[1]
+    w_index, w_nbrs = _shape(_member_points(k, M, into_boundary))
+    at = [w_index[t] for t in region]
+    u_domains = [(1 << len(xverts)) - 1] * len(region)
+    # a sampled u or w is None when the search certifies there is none
+    us = (_solve(u_nbrs, u_domains, xclosed, budget=budget) if rng is None
+          else [_restart_solve(u_nbrs, u_domains, xclosed, budget, rng)
+                for _ in range(samples)])
+    for u in (u for u in us if u is not None):
+        domains = [(1 << len(yverts)) - 1] * len(w_nbrs)
+        for j, b in zip(at, u):
+            domains[j] = image[b]
+        ws = (_solve(w_nbrs, domains, yclosed, budget=budget) if rng is None
+              else [_restart_solve(w_nbrs, domains, yclosed, budget, rng)])
+        for w in (w for w in ws if w is not None):
             yield u, w
 
 
-def _find_filler(f, k, i, eps, M, slack, u, w, into_boundary, budget):
-    """Search a lift labeling at support M + slack; None if none exists.
+def _find_filler(fb, k, i, eps, M, slack, u, w, into_boundary, budget):
+    """Search a lift at support M + slack for the member problem (u, w);
+    None if none exists.
 
     On the open box the lift is u composed with clamping into [-M, M]^k,
     which is already a graph map there, so only the free points of
     _filler_table are searched.  A free point's domain is the fibre over
     w at its clamp, cut to the closed neighbourhoods of u's values at the
     clamps of its neighbours on the box; the free-point problem has the
-    same solutions as the one on the whole filler grid.  Returns a
-    labeling of at least the free points (the exact cycle path labels the
-    box too, with u's clamped values).
+    same solutions as the one on the whole filler grid.  Returns one-bit
+    masks aligned with the free points, or with all filler points for the
+    exact cycle path, which labels the box too, with u's clamped values.
     """
-    X = f.source
-    free, w_at, u_at = _filler_table(k, i, eps, M, slack, into_boundary)
-    fibers = {}
-    for y in set(map(w.__getitem__, w_at)):
-        fibers[y] = {x for x in X.vertices if f.assignment[x] == y}
+    _, xclosed, _, _, _, fibre, cycle = fb
+    free_nbrs, w_at, u_at, nbrs, box = _filler_table(
+        k, i, eps, M, slack, into_boundary)
     # exact path for cycle-valued problems on simply connected regions
     # (full grids, or cube boundaries of dimension >= 3) with free fibers
-    if (not into_boundary or k >= 3) and all(
-        len(a) == len(X.vertices) for a in fibers.values()
+    if cycle is not None and (not into_boundary or k >= 3) and all(
+        fibre[w[c]] == (1 << len(cycle)) - 1 for c in w_at
     ):
-        order = _cycle_order(X)
-        # length >= 5 only: four unit steps cannot wrap such a cycle, so
-        # labelings of simply connected regions lift to integer heights
-        if order is not None and len(order) >= 5:
-            Ms = M + slack
-            clamp = _clamp_map(k, Ms, M)
-            frozen = {t: u[clamp[t]] for t in _box_region(k, i, eps, Ms)}
-            points = _boundary_points(k, Ms) if into_boundary else _grid(Ms, k)
-            decided = _cycle_filler(order, points, frozen)
-            if decided is not None:
-                verdict, table = decided
-                return table if verdict == "labeling" else None
-    allowed = {}
-    for t, c, near in zip(free, w_at, u_at):
-        dom = fibers[w[c]]
-        for p in near:
-            v = u[p]
-            cut = dom & X.adj[v]
-            if v in dom:
-                cut.add(v)
-            dom = cut
-        allowed[t] = dom
-    return _restart_labelings(X, free, allowed, budget)
+        decided = _cycle_filler(cycle, nbrs, [(p, u[j]) for p, j in box])
+        if decided is not None:
+            verdict, table = decided
+            return table if verdict == "labeling" else None
+    domains = []
+    for c, near in zip(w_at, u_at):
+        dom = fibre[w[c]]
+        for j in near:
+            dom &= xclosed[u[j]]
+        domains.append(dom)
+    return _restart_solve(free_nbrs, domains, xclosed, budget)
 
 
 def is_graph_n_fibration_bounded(
@@ -331,6 +351,7 @@ def is_graph_n_fibration_bounded(
     tested = 0
     sampled = False
     shared = Budget(budget)
+    fb = _map_bits(f)
     try:
         for spec in generating_set("J_n_prime_cubical", n).member_specs:
             shape, k, i, eps = spec["shape"], spec["k"], spec["i"], spec["eps"]
@@ -339,11 +360,11 @@ def is_graph_n_fibration_bounded(
             if rng is not None:
                 sampled = True
             for u, w in _member_problems(
-                f, k, i, eps, M_max, into_bd, rng, samples, shared
+                fb, k, i, eps, M_max, into_bd, rng, samples, shared
             ):
                 tested += 1
                 filler = _find_filler(
-                    f, k, i, eps, M_max, slack, u, w, into_bd, shared
+                    fb, k, i, eps, M_max, slack, u, w, into_bd, shared
                 )
                 if filler is None:
                     return FibrationReport(
@@ -352,8 +373,10 @@ def is_graph_n_fibration_bounded(
                             "member": (shape, k, i, eps),
                             "support": M_max,
                             "filler_support_cap": M_max + slack,
-                            "u": u,
-                            "w": w,
+                            "u": _as_labels(_box_region(k, i, eps, M_max),
+                                            u, fb[0]),
+                            "w": _as_labels(_member_points(k, M_max, into_bd),
+                                            w, fb[2]),
                             "tested": tested,
                         },
                     )

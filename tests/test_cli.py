@@ -380,6 +380,18 @@ def test_each_command_imports_only_its_modules(files, tmp_path):
     assert private == []
 
 
+def test_cli_import_leaves_out_dataclasses():
+    # the run settings are a dict of defaults, so a cold CLI process does
+    # not pay for importing dataclasses before it knows its command
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cubigraph.cli; print('dataclasses' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_json_reports_are_deterministic(files, capsys):
     _, out1 = run(["pi0", "--graph", files["c5.json"], "--json"], capsys)
     _, out2 = run(["pi0", "--graph", files["c5.json"], "--json"], capsys)

@@ -36,14 +36,16 @@ def test_cycle_filler_agrees_with_exhaustive_search():
     assert order is not None and len(order) == 5
     budget = nv.Budget(10**7)
     checked = 0
-    for u, w in nv._member_problems(f, 2, 1, 0, 1, False, None, 0, budget):
+    fb = nv._map_bits(f)
+    for u, w in nv._member_problems(fb, 2, 1, 0, 1, False, None, 0, budget):
         if checked >= 12:
             break
+        u = gd._as_labels(gd._box_region(2, 1, 0, 1), u, fb[0])
         Ms = 2
         region = gd._box_region(2, 1, 0, Ms)
         frozen = {t: u[gd._clamp(t, 1)] for t in region}
         points = gd._grid(Ms, 2)
-        verdict, table = gd._cycle_filler(order, points, frozen)
+        verdict, table = _cycle_fill(order, points, frozen)
         sols = gd._labelings(C5, points, _domains(frozen, None),
                              budget=nv.Budget(10**7), limit=1)
         assert (verdict == "labeling") == bool(sols)
@@ -57,6 +59,18 @@ def test_cycle_filler_agrees_with_exhaustive_search():
                         assert C5.adjacent(table[t], table[s])
         checked += 1
     assert checked
+
+
+def _cycle_fill(order, points, frozen):
+    """grid._cycle_filler posed on a point set and a frozen point -> vertex
+    dict, with a returned table as a point -> vertex dict."""
+    points = tuple(sorted(points))
+    index, nbrs = gd._shape(points)
+    decided = gd._cycle_filler(
+        order, nbrs, sorted((index[t], v) for t, v in frozen.items()))
+    if decided is None or decided[1] is None:
+        return decided
+    return decided[0], dict(zip(points, decided[1]))
 
 
 def test_cycle_order_detection():
@@ -151,7 +165,7 @@ def test_cycle_filler_agrees_with_the_labeling_search():
         C = gr.cycle(n)
         order = gd._cycle_order(C)
         frozen = {t: order[j % n] for t, j in frozen.items()}
-        decided = gd._cycle_filler(order, points, frozen)
+        decided = _cycle_fill(order, points, frozen)
         if decided is None:
             assert len(_components(frozen)) > 1, (points, frozen)
             seen.add((kind, None))

@@ -1,6 +1,7 @@
 """Stable cubes, nerve fragments, and bounded open-box lifting."""
 
 import functools
+import hashlib
 import itertools
 import random
 
@@ -457,7 +458,7 @@ def _full_grid_find_filler(f, k, i, eps, M, slack, u, w, into_boundary,
     X = f.source
     Ms = M + slack
     region = gd._box_region(k, i, eps, Ms)
-    clamp = gd._clamp_map(k, Ms, M)
+    clamp = {t: gd._clamp(t, M) for t in gd._grid(Ms, k)}
     frozen = {t: u[clamp[t]] for t in region}
     points = gd._boundary_points(k, Ms) if into_boundary else gd._grid(Ms, k)
     fibers = {}
@@ -475,10 +476,13 @@ def _full_grid_find_filler(f, k, i, eps, M, slack, u, w, into_boundary,
         # length >= 5 only: four unit steps cannot wrap such a cycle, so
         # labelings of simply connected regions lift to integer heights
         if order is not None and len(order) >= 5:
-            decided = gd._cycle_filler(order, points, frozen)
+            index, nbrs = gd._shape(tuple(points))
+            decided = gd._cycle_filler(order, nbrs, sorted(
+                (index[t], v) for t, v in frozen.items()))
             if decided is not None:
                 verdict, table = decided
-                return table if verdict == "labeling" else None
+                return dict(zip(points, table)) if verdict == "labeling" \
+                    else None
     # allowed skips the frozen points, so a frozen point's domain is its
     # one vertex
     domains = {**allowed, **{t: {v} for t, v in frozen.items()}}
@@ -530,6 +534,25 @@ def _is_lift(f, k, M, slack, w, into_boundary, table):
                for t, x in table.items())
 
 
+def _problem_labels(fb, k, i, eps, M, into_boundary, u, w):
+    """A member problem's u and w masks as point -> vertex dicts."""
+    return (gd._as_labels(gd._box_region(k, i, eps, M), u, fb[0]),
+            gd._as_labels(nv._member_points(k, M, into_boundary), w, fb[2]))
+
+
+def _filler_labels(fb, k, i, eps, M, slack, into_boundary, filler):
+    """A _find_filler result as a point -> vertex dict (None stays None):
+    its masks label the free points, or every filler point when it came
+    from the cycle path."""
+    if filler is None:
+        return None
+    points = nv._member_points(k, M + slack, into_boundary)
+    box = set(gd._box_region(k, i, eps, M + slack))
+    free = [t for t in points if t not in box]
+    return gd._as_labels(free if len(filler) == len(free) else points,
+                         filler, fb[0])
+
+
 def test_free_point_fillers_agree_with_full_grid_oracle():
     """_find_filler, posed on the free points, against the full-grid search
     on every J_1' member of the corpus maps at slack 0, 1 and 2: every
@@ -544,20 +567,26 @@ def test_free_point_fillers_agree_with_full_grid_oracle():
     found = missed = controls = 0
     for f in _filler_corpus():
         X = f.source
+        fb = nv._map_bits(f)
         for spec in generating_set("J_n_prime_cubical", 1).member_specs:
             k, i, eps = spec["k"], spec["i"], spec["eps"]
             into_bd = spec["shape"] == "box_into_boundary"
             for M in (0, 1):
                 exhaustive = M == 0 or k == 1
                 rng = None if exhaustive else random.Random(k)
-                problems = list(nv._member_problems(
-                    f, k, i, eps, M, into_bd, rng, 24 if k == 2 else 6,
-                    budget))
+                problems = [
+                    (u, w, *_problem_labels(fb, k, i, eps, M, into_bd, u, w))
+                    for u, w in nv._member_problems(
+                        fb, k, i, eps, M, into_bd, rng, 24 if k == 2 else 6,
+                        budget)]
                 for slack in (0, 1, 2):
-                    for u, w in problems:
+                    for u_bits, w_bits, u, w in problems:
                         args = (f, k, i, eps, M, slack, u, w, into_bd,
                                 budget)
-                        filler = nv._find_filler(*args)
+                        filler = _filler_labels(
+                            fb, k, i, eps, M, slack, into_bd,
+                            nv._find_filler(fb, k, i, eps, M, slack, u_bits,
+                                            w_bits, into_bd, budget))
                         want = _full_grid_find_filler(*args)
                         assert (filler is None) == (want is None), args
                         if filler is None:
@@ -587,3 +616,62 @@ def test_free_point_fillers_agree_with_full_grid_oracle():
                                                 table)
                             controls += 1
     assert found > 5000 and missed > 800 and controls > 4000
+
+
+def _workload_maps():
+    """The eight maps of the benchmark's fibration workload."""
+    I0, I1 = gr.interval(0), gr.interval(1)
+    C3, C4, C5, C6 = (gr.cycle(n) for n in (3, 4, 5, 6))
+    cyl = gr.box_product(C5, I1)
+    return [
+        gr.constant_map(C4, I0, 0),
+        gr.constant_map(C5, I0, 0),
+        gr.GraphMap(cyl, C5, {v: v[0] for v in cyl.vertices}),
+        gr.graph_identity(C5),
+        gr.graph_identity(I1),
+        gr.GraphMap(C6, C3, {v: v % 3 for v in C6.vertices}),
+        gr.GraphMap(C4, I1, {0: 0, 1: 1, 2: 0, 3: 1}),
+        gr.GraphMap(I0, I1, {0: 0}),
+    ]
+
+
+def test_fibration_reports_are_pinned(monkeypatch):
+    """One sha256 over the reports of the workload maps (sampled from
+    dimension 2, and from dimension 3 for sources of at most 4 vertices)
+    and of a budget sweep, with the shared meter's spend beside it: the
+    total spend of the full-budget checks, and the meter's left in the
+    sweep where it is not overdrawn.  Both values were read before the
+    fibration check moved to int masks."""
+    meters = []
+    init = nv.Budget.__init__
+
+    def record(self, allowance):
+        init(self, allowance)
+        meters.append(self)
+
+    monkeypatch.setattr(nv.Budget, "__init__", record)
+
+    def check(f, **kwargs):
+        meters.clear()
+        rep = nv.is_graph_n_fibration_bounded(f, **kwargs)
+        digest.update(repr((rep.verdict, sorted(rep.detail.items(),
+                                                key=repr))).encode())
+        return meters[0]
+
+    digest = hashlib.sha256()
+    spent = 0
+    for f in _workload_maps():
+        dims = (2, 3) if len(f.source.vertices) <= 4 else (2,)
+        for sample_dim_from in dims:
+            shared = check(f, n=1, M_max=1, slack=2, budget=10 ** 7, seed=0,
+                           samples=25, sample_dim_from=sample_dim_from)
+            spent += shared.allowance - shared.left
+    for f in _workload_maps():
+        for n in (0, 1):
+            for budget in (0, 1, 7, 50, 333, 1000, 4321, 20000):
+                shared = check(f, n=n, budget=budget, samples=5, seed=3)
+                if shared.left >= 0:
+                    digest.update(repr(shared.left).encode())
+    assert (digest.hexdigest(), spent) == (
+        "67160c57bb5f071bd74ebaabaadc5cc270aafa2c512483a677c6562967881292",
+        1799915)
