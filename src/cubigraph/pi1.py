@@ -11,10 +11,12 @@ a-priori bound on intermediate window growth exists, verdicts are
 three-valued: yes (with the homotopy layers), no_exhausted (the whole
 reachable set within the support bound was explored), or inconclusive.
 The search runs on integer vertex ids (a vertex's stored position): the
-graph's closed neighbourhoods, as id lists and as bitmasks, are built once
-per search.  Each popped word gets one step table, a row of shift
-masks per position indexed by id, and both the goal test and the step
-enumeration read that one table, so one rule defines a step.  Under one
+graph's closed neighbourhoods, as id lists and as bitmasks, and every
+vertex's distance to the shared end are built once per search.  Each
+popped word gets one step table, a row of shift masks indexed by id that
+each position reads shifted, and both the goal test and the step
+enumeration read that one table, so one rule defines a step; the
+enumeration skips prefixes too far from the end to finish.  Under one
 shift, the step words below a prefix depend only on the prefix and on
 the window of the popped word that its later positions face, so a search
 records each (prefix, window) pair it has walked and no later step
@@ -119,10 +121,21 @@ def _vertex_ids(graph):
     return verts, index, close, masks, down
 
 
+def _end_distances(ids, y):
+    """Distance by id from every vertex to the vertex id y, read from the
+    id tables' closed neighbourhoods; a vertex off y's component keeps
+    the vertex count, more than any distance."""
+    close = ids[2]
+    dist = [len(close)] * len(close)
+    for v, _, d in _bfs(y, close.__getitem__):
+        dist[v] = d
+    return dist
+
+
 def _step_table(ids, word, top):
     """The step table of a word for words of length <= top, given the
     graph's id tables: those tables, the word's ids w and the shift masks
-    front, tail and rows (bit k of a mask is shift k + 1 - top).
+    front, tail and first (bit k of a mask is shift k + 1 - top).
 
     Two words are one step apart when some endpoint paddings to a common
     length of at most top make them pointwise adjacent; endpoints always
@@ -133,15 +146,17 @@ def _step_table(ids, word, top):
     equal to word[clamp(i - s)] for every integer i.  Here front holds the
     shifts under which the start faces every word[j], j < -s; tail[m] the
     shifts under which the end faces every word[j], j >= m - s; and
-    rows[i][v] the shifts under which vertex id v at position i faces
-    word[clamp(i - s)].  So b is one step away exactly when
-    front & tail[m] & rows[0][b[0]] & ... & rows[m - 1][b[m - 1]] != 0,
-    with ids for vertices.
+    first[v] the shifts under which vertex id v at position 0 faces
+    word[clamp(-s)].  Position i faces under bit k what position 0 faces
+    under bit k - i, so its row entry is first[v] << i, masked to the
+    shifts; bits k < i are shifts too short for a word through position
+    i.  So b is one step away exactly when
+    front & tail[m] & first[b[0]] & ... & first[b[m - 1]] << m - 1 != 0,
+    with ids for vertices; front and tail lie in the shifts, so their AND
+    masks the rest.
 
-    rows[1] drops the start, which a trimmed word never repeats, and a
-    backward pass keeps only the shifts under which a prefix through v at
-    position i can still be completed to such a word, so a search along
-    the rows never enters a dead end.
+    The enumeration (_step_words) reads a row entry as it needs it and
+    cuts dead prefixes by their distance to the end.
     """
     _, index, close, masks, _ = ids
     w = [index[v] for v in word]
@@ -158,39 +173,41 @@ def _step_table(ids, word, top):
     front = every if h == n else every >> (top - 1 - h) << (top - 1 - h)
     tail = [every if g == 0 else (1 << min(span, m + top - g)) - 1
             for m in range(top + 1)]
-    # position 0 faces word[clamp(top - 1 - k)] under bit k; position i
-    # faces under bit k what position 0 faces under bit k - i, and bits
-    # k < i are shifts too short for a word through position i
+    # position 0 faces word[clamp(top - 1 - k)] under bit k
     first = [0] * len(close)
     for k in range(span):
         for v in close[w[_clamp(top - 1 - k, n)]]:
             first[v] |= 1 << k
-    rows = [[bits << i & every for bits in first] for i in range(top)]
-    if top > 1:
-        rows[1][x] = 0
-    later = [0] * len(close)
-    for i in range(top - 1, -1, -1):
-        row = rows[i]
-        for v, bits in enumerate(row):
-            if bits:
-                reach = tail[i + 1] if v == y else 0
-                for u in close[v]:
-                    reach |= later[u]
-                row[v] = bits & reach
-        later = row
-    return ids, w, front, tail, rows
+    return ids, w, front, tail, first
 
 
-def _step_words(graph, word, max_support, _exhausted=None, _table=None):
+def _step_words(graph, word, max_support, _exhausted=None, _table=None,
+                _dist=None):
     """The trimmed words one homotopy step from the given one, ascending.
 
     The step relation is the one of _step_table with top = max_support + 1.
-    One depth-first search over trimmed prefixes reads the word's rows,
+    One depth-first search over trimmed prefixes reads the word's table,
     carrying the set of shifts still alive as a bitmask.  It keeps the
     current prefix as vertex ids in one array and builds a tuple only for
     a word it yields.  Children are visited in ascending vertex value, so
     the preorder is ascending tuple order and each neighbour is yielded
     once, in sorted order.
+
+    Three cuts drop subtrees that hold no step word.  A trimmed word never
+    repeats its start, so position 1 never takes it.  A word through v at
+    position m reaches the end y at position m + dist(v, y) at the
+    earliest, so v is skipped when that is top or more, and it keeps only
+    the shifts k >= m + dist(v, y), since a word of length L takes only
+    shifts k >= L - 1.  _dist holds the distances by id (_end_distances);
+    they depend only on the graph and y, so path_homotopic_bounded builds
+    them once per search.  The cuts look no further ahead, so a prefix
+    they keep may still die below; its subtree is then walked and yields
+    nothing.  Cutting those too takes a backward pass over every position
+    and vertex for each word, which costs more than the dead subtrees it
+    saves.  The mask is kept relative to the position:
+    bit j of a prefix's mask at position i is shift bit i + j, so a child
+    v at position m keeps live >> 1 & lead[v], with lead[v] the row entry
+    first[v] less its bits j < dist(v, y).
 
     _exhausted, a dict that path_homotopic_bounded keeps for one search,
     holds the subtrees already walked.  Under shift s the words below a
@@ -205,52 +222,62 @@ def _step_words(graph, word, max_support, _exhausted=None, _table=None):
     caller drains the generator and admits every word it yields: then
     every word below a recorded pair is admitted, and cutting such
     subtrees out of an ascending preorder leaves the fresh words in the
-    same order.  A pair's key is code(P) + cap * ((top + 1) *
+    same order.  A pair recorded under a shift that dies below holds no
+    word, so its entry is vacuously true.  Both the cuts and the dead
+    shifts are the same for a pair wherever it occurs, so the yields do
+    not change.  A pair's key is code(P) + cap * ((top + 1) *
     code(reversed(word[clamp(j):])) + top + min(j, 0)), where code reads
     ids plus one as digits in bijective base |V| + 1 and cap = base ** top
     exceeds every code(P).  _table is the word's step table, when the
     caller has it.
     """
     top = max_support + 1
-    ids, w, front, tail, rows = _table or _step_table(
+    ids, w, front, tail, first = _table or _step_table(
         _vertex_ids(graph), word, top)
     verts, _, _, _, down = ids
     x, y = w[0], w[-1]
+    dist = _dist or _end_distances(ids, y)
     n, base = len(w), len(verts) + 1
+    # the row entries less the shifts too short to reach y
+    lead = [bits >> d << d for bits, d in zip(first, dist)]
     marked = _exhausted is not None
     if marked:
         cap, back = base ** top, [y + 1]
         for v in reversed(w[:-1]):
             back.append(back[-1] * base + v + 1)
         back = [cap * ((top + 1) * c + top) for c in reversed(back)]
-        # bit k - 1 of a child of length m has j = m + top - k, window key
-        # near[j + top] and d = max(top - k, 0)
+        # relative bit b - 1 of a child at position m is shift bit
+        # m + b - 1, so j = top + 1 - b, its window key is near[j + top]
+        # = near[far - b] and d = max(top - m - b, 0)
         near = ([back[0] + cap * j for j in range(-top, 0)] + back
                 + [back[-1]] * (2 * top - n))
-        walked = _exhausted.get
+        walked, far = _exhausted.get, 2 * top + 1
+    second = [v for v in down[x] if v != x]
     prefix = [x] * top
-    stack = [(0, x, x + 1, front & rows[0][x])]
+    stack = [(0, x, x + 1, front & lead[x])]
     push = stack.append
     while stack:
         i, last, code, live = stack.pop()
         prefix[i] = last
         m = i + 1
         if (last == y and (i == 0 or prefix[i - 1] != y)
-                and live & tail[m] and prefix[:m] != w):
+                and live << i & tail[m] and prefix[:m] != w):
             yield tuple([verts[v] for v in prefix[:m]])
         if m == top:
             continue
-        row, code, at = rows[m], code * base, m + 1 + 2 * top
+        code, room, live = code * base, top - m, live >> 1
         check = marked and m + 1 < top
-        for v in down[last]:
-            bits = live & row[v]
+        for v in second if m == 1 else down[last]:
+            if dist[v] >= room:
+                continue
+            bits = live & lead[v]
             if bits:
                 child, rest = code + v + 1, bits if check else 0
                 while rest:
                     low = rest & -rest
-                    k = low.bit_length()
-                    key = child + near[at - k]
-                    d = top - k if k < top else 0
+                    b = low.bit_length()
+                    key = child + near[far - b]
+                    d = room - b if b < room else 0
                     if walked(key, top) <= d:
                         bits ^= low
                     else:
@@ -262,18 +289,18 @@ def _step_words(graph, word, max_support, _exhausted=None, _table=None):
 
 def _one_step(graph, a, b, max_support, _table=None):
     """Whether the trimmed word b, with a's endpoints, is one homotopy
-    step from the word a: the AND of a's step table along b (see
-    _step_table) is non-zero.  _table is a's step table, when the caller
-    has it."""
+    step from the word a: the AND of a's step table along b, first[b[i]]
+    << i at each position i (see _step_table), is non-zero.  _table is
+    a's step table, when the caller has it."""
     top = max_support + 1
     if a == b or len(b) > top or a[0] != b[0] or a[-1] != b[-1]:
         return False
-    ids, _, front, tail, rows = _table or _step_table(
+    ids, _, front, tail, first = _table or _step_table(
         _vertex_ids(graph), a, top)
     index = ids[1]
     live = front & tail[len(b)]
-    for row, v in zip(rows, b):
-        live &= row[index[v]]
+    for i, v in enumerate(b):
+        live &= first[index[v]] << i
     return live != 0
 
 
@@ -293,14 +320,18 @@ def path_homotopic_bounded(p, q, max_support=None, max_steps=20000):
     max_support was visited without meeting q.
 
     The search runs on integer vertex ids: the graph's id tables
-    (_vertex_ids) are built once per search.  Each popped word's step
-    table is built once, and both the goal test (_one_step) and the step
-    enumeration (_step_words) read it.  One dict of walked (prefix,
-    window) pairs lives for the whole search, so no enumeration walks a
-    subtree whose words an earlier one already yielded.  That is sound
-    because this loop drains every enumeration and admits every word it
-    yields; the fresh words, the explored count and the layers are those
-    of the search that enumerates every step word.
+    (_vertex_ids) and every vertex's distance to the shared end
+    (_end_distances) are built once per search and dropped when it
+    returns.  Each popped word's step table is built once, and both the
+    goal test (_one_step) and the step enumeration (_step_words) read it.
+    The enumeration cuts a prefix that cannot reach the end within the
+    support, and one dict of walked (prefix, window) pairs lives for the
+    whole search, so no enumeration walks a subtree whose words an earlier
+    one already yielded.  Both are sound because the distance cut drops
+    only subtrees without a step word, and this loop drains every
+    enumeration and admits every word it yields; the fresh words, their
+    order, the explored count and the layers are those of the search that
+    enumerates every step word.
     """
     if p.graph is not q.graph and p.graph.vertices != q.graph.vertices:
         raise ValueError("paths live in different graphs")
@@ -315,6 +346,7 @@ def path_homotopic_bounded(p, q, max_support=None, max_steps=20000):
     graph = p.graph
     top = max_support + 1
     ids = _vertex_ids(graph)
+    dist = _end_distances(ids, ids[1][q.end])
     parent = {p.word: None}
     frontier = deque([p.word])
     explored = 0
@@ -333,7 +365,8 @@ def path_homotopic_bounded(p, q, max_support=None, max_steps=20000):
                 layers.append(parent[layers[-1]])
             layers.reverse()
             return HomotopyReport("yes", layers, explored)
-        for nxt in _step_words(graph, cur, max_support, exhausted, table):
+        for nxt in _step_words(graph, cur, max_support, exhausted, table,
+                               dist):
             if nxt not in parent:
                 parent[nxt] = cur
                 frontier.append(nxt)

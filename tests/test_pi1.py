@@ -797,6 +797,168 @@ def test_step_word_yields_are_pinned(monkeypatch):
     assert (rep.verdict, rep.explored, yields["all"]) == ("yes", 443, 2589)
 
 
+def _oracle_step_table(ids, word, top):
+    """Oracle: pi1._step_table as it was with one row of shift masks per
+    position, and a backward pass that keeps in each row only the shifts
+    under which a prefix through that vertex can still be completed."""
+    _, index, close, masks, _ = ids
+    w = [index[v] for v in word]
+    n = len(w)
+    x, y = w[0], w[-1]
+    span = 2 * top - n
+    h = next((j for j, v in enumerate(w) if not masks[x] >> v & 1), n)
+    g = next((j + 1 for j in range(n - 1, -1, -1)
+              if not masks[y] >> w[j] & 1), 0)
+    every = (1 << span) - 1
+    front = every if h == n else every >> (top - 1 - h) << (top - 1 - h)
+    tail = [every if g == 0 else (1 << min(span, m + top - g)) - 1
+            for m in range(top + 1)]
+    first = [0] * len(close)
+    for k in range(span):
+        for v in close[w[pi1._clamp(top - 1 - k, n)]]:
+            first[v] |= 1 << k
+    rows = [[bits << i & every for bits in first] for i in range(top)]
+    if top > 1:
+        rows[1][x] = 0
+    later = [0] * len(close)
+    for i in range(top - 1, -1, -1):
+        row = rows[i]
+        for v, bits in enumerate(row):
+            if bits:
+                reach = tail[i + 1] if v == y else 0
+                for u in close[v]:
+                    reach |= later[u]
+                row[v] = bits & reach
+        later = row
+    return ids, w, front, tail, rows
+
+
+def _oracle_step_words(max_support, exhausted, table):
+    """Oracle: pi1._step_words as it was on the rows of
+    _oracle_step_table, with absolute shift masks and no distance cut."""
+    top = max_support + 1
+    ids, w, front, tail, rows = table
+    verts, _, _, _, down = ids
+    x, y = w[0], w[-1]
+    n, base = len(w), len(verts) + 1
+    cap, back = base ** top, [y + 1]
+    for v in reversed(w[:-1]):
+        back.append(back[-1] * base + v + 1)
+    back = [cap * ((top + 1) * c + top) for c in reversed(back)]
+    near = ([back[0] + cap * j for j in range(-top, 0)] + back
+            + [back[-1]] * (2 * top - n))
+    prefix = [x] * top
+    stack = [(0, x, x + 1, front & rows[0][x])]
+    while stack:
+        i, last, code, live = stack.pop()
+        prefix[i] = last
+        m = i + 1
+        if (last == y and (i == 0 or prefix[i - 1] != y)
+                and live & tail[m] and prefix[:m] != w):
+            yield tuple([verts[v] for v in prefix[:m]])
+        if m == top:
+            continue
+        row, code, at = rows[m], code * base, m + 1 + 2 * top
+        for v in down[last]:
+            bits = live & row[v]
+            if bits:
+                child, rest = code + v + 1, bits if m + 1 < top else 0
+                while rest:
+                    low = rest & -rest
+                    k = low.bit_length()
+                    key = child + near[at - k]
+                    d = top - k if k < top else 0
+                    if exhausted.get(key, top) <= d:
+                        bits ^= low
+                    else:
+                        exhausted[key] = d
+                    rest ^= low
+                if bits:
+                    stack.append((m, v, child, bits))
+
+
+def _lockstep_search(p, q, max_support, max_steps):
+    """(verdict, explored, layers) of path_homotopic_bounded's search run
+    on the oracle table and enumeration, each with its own memo.  At every
+    popped word it also runs pi1._step_words, with the search's distance
+    table and a memo of its own, and asserts that both list the same
+    words in the same order."""
+    graph, top = p.graph, max_support + 1
+    if p.word == q.word:
+        return "yes", 0, [p.word]
+    ids = pi1._vertex_ids(graph)
+    dist = pi1._end_distances(ids, ids[1][q.end])
+    parent, frontier = {p.word: None}, deque([p.word])
+    explored, old_memo, new_memo = 0, {}, {}
+    while frontier:
+        cur = frontier.popleft()
+        explored += 1
+        if explored > max_steps:
+            return "inconclusive", explored, None
+        table = _oracle_step_table(ids, cur, top)
+        live = table[2] & table[3][len(q.word)]
+        for row, v in zip(table[4], q.word):
+            live &= row[ids[1][v]]
+        if live and len(q.word) <= top:
+            layers = [q.word, cur]
+            while parent[layers[-1]] is not None:
+                layers.append(parent[layers[-1]])
+            layers.reverse()
+            return "yes", explored, layers
+        words = list(_oracle_step_words(max_support, old_memo, table))
+        assert list(pi1._step_words(
+            graph, cur, max_support, new_memo,
+            pi1._step_table(ids, cur, top), dist)) == words, cur
+        for nxt in words:
+            if nxt not in parent:
+                parent[nxt] = cur
+                frontier.append(nxt)
+    return "no_exhausted", explored, None
+
+
+def _connected_graph(rng, n):
+    while True:
+        G = _random_graph(rng, n, 0.4)
+        if len(gr.pi0(G)) == 1:
+            return G
+
+
+def test_distance_cut_search_agrees_with_the_backward_pass_oracle():
+    # the step table drops its backward completion pass and the
+    # enumeration cuts prefixes by their distance to the end instead:
+    # every popped word must list the same step words in the same order,
+    # and every search must pop the same words and return the same layers
+    rng = random.Random(36)
+    I1, I2 = gr.interval(1), gr.interval(2)
+    C5, C6 = gr.cycle(5), gr.cycle(6)
+    graphs = [gr.cycle(n) for n in range(3, 9)]
+    graphs += [gr.box_product(I1, I1), gr.box_product(I1, I2),
+               gr.box_product(I2, I2), gr.box_product(gr.cycle(4), I1)]
+    graphs += [_connected_graph(rng, rng.randint(4, 8)) for _ in range(10)]
+    cases = [(C5, (0, 1, 2), (0, 4, 3, 2), s, 2000) for s in range(3, 8)]
+    cases += [(C6, (0, 1, 2, 3), (0, 5, 4, 3), s, 2000) for s in (3, 5)]
+    cases.append((C5, (0, 1, 2, 3, 2, 1, 0), (0,), 8, 2000))
+    for G in graphs:
+        for _ in range(4):
+            start = rng.choice(G.vertices)
+            a = pi1._trim(_random_walk(rng, G, start, rng.randint(2, 7)))
+            for _ in range(60):
+                b = pi1._trim(_random_walk(rng, G, start, rng.randint(2, 7)))
+                if b[-1] == a[-1] and b != a:
+                    cases.append((G, a, b, max(len(a), len(b)) - 1
+                                  + rng.randint(1, 3), rng.choice((40, 2000))))
+                    break
+    verdicts = Counter()
+    for G, a, b, support, max_steps in cases:
+        p, q = pi1.make_path(G, a), pi1.make_path(G, b)
+        rep = pi1.path_homotopic_bounded(p, q, support, max_steps)
+        assert (rep.verdict, rep.explored, rep.layers) == (
+            _lockstep_search(p, q, support, max_steps)), (G, a, b)
+        verdicts[rep.verdict] += 1
+    assert set(verdicts) == {"yes", "no_exhausted", "inconclusive"}, verdicts
+    assert sum(verdicts.values()) >= 80, verdicts
+
+
 def _hnf_contains(rows, image):
     import sympy
     from sympy.matrices.normalforms import hermite_normal_form
